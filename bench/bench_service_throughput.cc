@@ -6,7 +6,8 @@
 //  2. Pure generation throughput: one bucket is trained once, then a burst
 //     of same-bucket batch-mode requests is decoded at max_batch {1,8,32}
 //     on a single worker. This isolates the batched-GEMM decode path — the
-//     speedup over max_batch=1 is the cross-request batching win.
+//     speedup over max_batch=1 (one decode lane) is the cross-request
+//     batching win.
 //
 // Results are emitted as one JSON row per setting:
 //

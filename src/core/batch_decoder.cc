@@ -9,21 +9,17 @@
 #include "sql/render.h"
 
 namespace lsg {
-namespace {
-constexpr int kMaxEpisodeSteps = 512;  // matches RolloutPolicy's hard cap
-}  // namespace
 
 struct BatchDecoder::Lane {
   BatchDecodeItem* item;
   std::unique_ptr<SqlGenEnvironment> env;
-  Rng rng;
   PolicyNetwork::Episode ep;
   Trajectory traj;
   int ep_steps = 0;
   Stopwatch watch;
 
   Lane(BatchDecodeItem* it, std::unique_ptr<SqlGenEnvironment> e)
-      : item(it), env(std::move(e)), rng(it->rng_seed) {}
+      : item(it), env(std::move(e)) {}
 };
 
 BatchDecoder::BatchDecoder(const ServingSnapshot* snapshot, int max_lanes)
@@ -36,6 +32,13 @@ void BatchDecoder::BeginAttempt(const PolicyNetwork& actor, Lane* lane) {
   lane->ep = actor.BeginEpisode(/*train=*/false);
   lane->traj = Trajectory();
   lane->ep_steps = 0;
+}
+
+bool BatchDecoder::ItemDone(const BatchDecodeItem& item) const {
+  if (item.batch_mode) return item.report.attempts >= item.n;
+  return item.report.satisfied >= item.n ||
+         item.report.attempts >=
+             static_cast<int64_t>(item.n) * snap_->attempts_factor;
 }
 
 void BatchDecoder::FinishItem(Lane* lane) {
@@ -57,12 +60,9 @@ std::unique_ptr<BatchDecoder::Lane> BatchDecoder::StartItem(
       snap_->db, snap_->vocab, snap_->estimator, snap_->cost_model,
       snap_->constraint, snap_->env_opts);
   auto lane = std::make_unique<Lane>(item, std::move(env));
-  // Zero-work items (n <= 0) finish before their first episode, exactly
-  // like the sequential loops whose conditions never admit an attempt.
-  const bool done = item->batch_mode
-                        ? item->report.attempts >= item->n
-                        : item->report.satisfied >= item->n;
-  if (done) {
+  // Zero-work items (n <= 0, or no attempt budget) finish before their
+  // first episode.
+  if (ItemDone(*item)) {
     FinishItem(lane.get());
     return nullptr;
   }
@@ -118,7 +118,7 @@ BatchDecoder::Stats BatchDecoder::Run(
         retire[b] = true;
         continue;
       }
-      const int a = actor.SampleAction(dists[b], &lane.rng);
+      const int a = actor.SampleAction(dists[b], &item.rng);
       actor.RecordAction(&lane.ep, a);
       auto sr = lane.env->Step(a);
       if (!sr.ok()) {
@@ -147,13 +147,7 @@ BatchDecoder::Stats BatchDecoder::Run(
           q.ast = std::move(lane.traj.ast);
           item.report.queries.push_back(std::move(q));
         }
-        const bool done =
-            item.batch_mode
-                ? item.report.attempts >= item.n
-                : (item.report.satisfied >= item.n ||
-                   item.report.attempts >=
-                       static_cast<int64_t>(item.n) * snap_->attempts_factor);
-        if (done) {
+        if (ItemDone(item)) {
           FinishItem(&lane);
           retire[b] = true;
         } else {

@@ -17,9 +17,11 @@ struct BatchDecodeItem {
   /// false → GenerateSatisfied semantics (until n satisfied or the
   /// n·attempts_factor budget runs out, keep satisfied only).
   bool batch_mode = false;
-  /// Seed of this request's private sampling stream. Derived from
-  /// (seed, request) by the caller so batch-mates cannot perturb it.
-  uint64_t rng_seed = 0;
+  /// This request's private sampling stream, advanced in place by every
+  /// sample the decode draws. The service seeds it from (seed, request) so
+  /// batch-mates cannot perturb it; LearnedSqlGen copies in the caller's
+  /// (or the trainer's) stream and copies the advanced state back.
+  Rng rng;
 
   Status status;
   GenerationReport report;
@@ -30,11 +32,12 @@ struct BatchDecodeItem {
 /// one token per step through a single batched LSTM forward
 /// (PolicyNetwork::NextDistributionBatch). Each item owns a private
 /// environment, RNG stream and episode, so its sampled queries are
-/// bitwise-identical to running LearnedSqlGen::GenerateBatch /
-/// GenerateSatisfied alone with the same seed — batching changes wall-clock
-/// only. Items join a lane as slots free up and leave when their budget
-/// completes (ragged batching); a degenerate softmax row or environment
-/// error fails only that item.
+/// bitwise-identical to running its episodes one at a time through
+/// RolloutPolicy(train=false) on the same stream — batching changes
+/// wall-clock only. This is the only inference loop: LearnedSqlGen's
+/// Generate* run it with one lane. Items join a lane as slots free up and
+/// leave when their budget completes (ragged batching); a degenerate
+/// softmax row or environment error fails only that item.
 class BatchDecoder {
  public:
   struct Stats {
@@ -53,9 +56,12 @@ class BatchDecoder {
   struct Lane;
 
   /// Starts `item` in a fresh lane; returns nullptr if the item finished
-  /// without needing any episode (n <= 0).
+  /// without needing any episode (see ItemDone).
   std::unique_ptr<Lane> StartItem(BatchDecodeItem* item);
   static void BeginAttempt(const PolicyNetwork& actor, Lane* lane);
+  /// True once `item` met its n (or, in satisfied mode, its attempt
+  /// budget).
+  bool ItemDone(const BatchDecodeItem& item) const;
   static void FinishItem(Lane* lane);
 
   const ServingSnapshot* snap_;

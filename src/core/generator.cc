@@ -6,10 +6,10 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
+#include "core/batch_decoder.h"
 #include "fsm/compiled_fsm.h"
 #include "nn/serialize.h"
 #include "obs/span_tracer.h"
-#include "sql/render.h"
 
 namespace lsg {
 
@@ -21,6 +21,11 @@ StatusOr<std::unique_ptr<LearnedSqlGen>> LearnedSqlGen::Create(
     const Database* db, const LearnedSqlGenOptions& options) {
   if (db == nullptr || db->num_tables() == 0) {
     return Status::InvalidArgument("LearnedSqlGen needs a non-empty database");
+  }
+  if (options.trainer.net.extra_input_dims != 0) {
+    return Status::InvalidArgument(
+        "LearnedSqlGen supports the standard one-hot model only "
+        "(trainer.net.extra_input_dims must be 0)");
   }
   std::unique_ptr<LearnedSqlGen> gen(new LearnedSqlGen(db, options));
   gen->stats_ = DatabaseStats::Collect(*db);
@@ -67,8 +72,6 @@ Status LearnedSqlGen::TrainFor(const Constraint& constraint, int epochs) {
   env_ = std::make_unique<SqlGenEnvironment>(db_, &*vocab_, estimator_.get(),
                                              cost_model_.get(), constraint,
                                              env_opts);
-  ac_trainer_.reset();
-  reinforce_trainer_.reset();
   trace_.clear();
   Stopwatch watch;
 
@@ -99,154 +102,63 @@ Status LearnedSqlGen::TrainFor(const Constraint& constraint, int epochs) {
   };
 
   if (options_.use_reinforce) {
-    reinforce_trainer_ =
-        std::make_unique<ReinforceTrainer>(env_.get(), options_.trainer);
-    for (int e = 0; e < epochs; ++e) {
-      epoch_begin(e);
-      auto st = reinforce_trainer_->TrainEpoch();
-      if (!st.ok()) return st.status();
-      record(*st);
-    }
+    trainer_ = std::make_unique<ReinforceTrainer>(env_.get(), options_.trainer);
   } else {
-    ac_trainer_ =
+    trainer_ =
         std::make_unique<ActorCriticTrainer>(env_.get(), options_.trainer);
-    for (int e = 0; e < epochs; ++e) {
-      epoch_begin(e);
-      auto st = ac_trainer_->TrainEpoch();
-      if (!st.ok()) return st.status();
-      record(*st);
-    }
+  }
+  for (int e = 0; e < epochs; ++e) {
+    epoch_begin(e);
+    auto st = trainer_->TrainEpoch();
+    if (!st.ok()) return st.status();
+    record(*st);
   }
   // Inference uses the best checkpoint seen during training (guards
   // against late-training policy collapse).
-  if (options_.trainer.keep_best_actor) {
-    if (ac_trainer_ != nullptr) ac_trainer_->RestoreBestActor();
-    if (reinforce_trainer_ != nullptr) reinforce_trainer_->RestoreBestActor();
-  }
+  if (options_.trainer.keep_best_actor) trainer_->RestoreBestActor();
   train_seconds_ = watch.ElapsedSeconds();
   return Status::Ok();
 }
 
 Status LearnedSqlGen::SaveModel(const std::string& path) const {
-  if (ac_trainer_ != nullptr) {
-    return SaveParams(std::as_const(*ac_trainer_).actor().Params(), path);
+  if (trainer_ == nullptr) {
+    return Status::FailedPrecondition("no trained model to save");
   }
-  if (reinforce_trainer_ != nullptr) {
-    return SaveParams(std::as_const(*reinforce_trainer_).actor().Params(),
-                      path);
-  }
-  return Status::FailedPrecondition("no trained model to save");
+  return SaveParams(std::as_const(*trainer_).actor().Params(), path);
 }
 
 Status LearnedSqlGen::LoadModel(const Constraint& constraint,
                                 const std::string& path) {
   // Build the trainer (0 epochs = no training) and overwrite its actor.
   LSG_RETURN_IF_ERROR(TrainFor(constraint, 0));
-  if (ac_trainer_ != nullptr) {
-    return LoadParams(ac_trainer_->actor().Params(), path);
-  }
-  return LoadParams(reinforce_trainer_->actor().Params(), path);
+  return LoadParams(trainer_->actor().Params(), path);
 }
 
-StatusOr<Trajectory> LearnedSqlGen::GenerateOne() {
-  if (ac_trainer_ != nullptr) return ac_trainer_->Generate();
-  if (reinforce_trainer_ != nullptr) return reinforce_trainer_->Generate();
-  return Status::FailedPrecondition("call Train before generating");
-}
-
-StatusOr<Trajectory> LearnedSqlGen::GenerateOne(Rng* rng) {
-  if (rng == nullptr) return GenerateOne();
-  if (ac_trainer_ != nullptr) return ac_trainer_->Generate(rng);
-  if (reinforce_trainer_ != nullptr) return reinforce_trainer_->Generate(rng);
-  return Status::FailedPrecondition("call Train before generating");
-}
-
-StatusOr<GenerationReport> LearnedSqlGen::GenerateSatisfied(int n) {
-  return GenerateSatisfied(n, nullptr);
-}
-
-StatusOr<GenerationReport> LearnedSqlGen::GenerateSatisfied(int n, Rng* rng) {
-  LSG_OBS_SPAN("gen.generate_satisfied");
-  GenerationReport report;
-  report.train_seconds = train_seconds_;
-  report.trace = trace_;
-  Stopwatch watch;
-  const int64_t max_attempts =
-      static_cast<int64_t>(n) * options_.attempts_factor;
-  while (report.satisfied < n && report.attempts < max_attempts) {
-    auto traj = GenerateOne(rng);
-    if (!traj.ok()) return traj.status();
-    ++report.attempts;
-    if (!traj->satisfied) continue;
-    ++report.satisfied;
-    GeneratedQuery q;
-    q.sql = RenderSql(traj->ast, db_->catalog());
-    q.metric = traj->final_metric;
-    q.satisfied = true;
-    q.features =
-        FeaturesOf(traj->ast, static_cast<int>(traj->actions.size()));
-    q.ast = std::move(traj->ast);
-    report.queries.push_back(std::move(q));
-  }
-  report.generate_seconds = watch.ElapsedSeconds();
-  report.accuracy = report.attempts == 0
-                        ? 0.0
-                        : static_cast<double>(report.satisfied) /
-                              static_cast<double>(report.attempts);
-  return report;
-}
-
-StatusOr<GenerationReport> LearnedSqlGen::GenerateBatch(int n) {
-  return GenerateBatch(n, nullptr);
-}
-
-StatusOr<GenerationReport> LearnedSqlGen::GenerateBatch(int n, Rng* rng) {
-  LSG_OBS_SPAN("gen.generate_batch");
-  GenerationReport report;
-  report.train_seconds = train_seconds_;
-  report.trace = trace_;
-  Stopwatch watch;
-  for (int i = 0; i < n; ++i) {
-    auto traj = GenerateOne(rng);
-    if (!traj.ok()) return traj.status();
-    ++report.attempts;
-    GeneratedQuery q;
-    q.sql = RenderSql(traj->ast, db_->catalog());
-    q.metric = traj->final_metric;
-    q.satisfied = traj->satisfied;
-    q.features =
-        FeaturesOf(traj->ast, static_cast<int>(traj->actions.size()));
-    q.ast = std::move(traj->ast);
-    if (q.satisfied) ++report.satisfied;
-    report.queries.push_back(std::move(q));
-  }
-  report.generate_seconds = watch.ElapsedSeconds();
-  report.accuracy = report.attempts == 0
-                        ? 0.0
-                        : static_cast<double>(report.satisfied) /
-                              static_cast<double>(report.attempts);
-  return report;
+StatusOr<GenerationReport> LearnedSqlGen::Decode(int n, bool batch_mode,
+                                                 Rng* rng) {
+  LSG_OBS_SPAN(batch_mode ? "gen.generate_batch" : "gen.generate_satisfied");
+  LSG_ASSIGN_OR_RETURN(ServingSnapshot snap, MakeServingSnapshot());
+  Rng& stream = rng != nullptr ? *rng : trainer_->rng();
+  BatchDecodeItem item;
+  item.n = n;
+  item.batch_mode = batch_mode;
+  item.rng = stream;
+  BatchDecoder(&snap, /*max_lanes=*/1).Run({&item});
+  stream = item.rng;
+  if (!item.status.ok()) return item.status;
+  return std::move(item.report);
 }
 
 StatusOr<ServingSnapshot> LearnedSqlGen::MakeServingSnapshot() const {
-  const PolicyNetwork* actor = nullptr;
-  if (ac_trainer_ != nullptr) {
-    actor = &std::as_const(*ac_trainer_).actor();
-  } else if (reinforce_trainer_ != nullptr) {
-    actor = &std::as_const(*reinforce_trainer_).actor();
-  } else {
-    return Status::FailedPrecondition("call Train before snapshotting");
-  }
-  if (options_.trainer.net.extra_input_dims != 0) {
-    return Status::FailedPrecondition(
-        "batched serving supports the standard one-hot model only");
+  if (trainer_ == nullptr) {
+    return Status::FailedPrecondition("call Train before generating");
   }
   ServingSnapshot snap;
   snap.db = db_;
   snap.vocab = &*vocab_;
   snap.estimator = estimator_.get();
   snap.cost_model = cost_model_.get();
-  snap.actor = actor;
+  snap.actor = &std::as_const(*trainer_).actor();
   snap.env_opts = env_opts_;
   snap.constraint = constraint_;
   snap.attempts_factor = options_.attempts_factor;

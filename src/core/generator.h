@@ -96,7 +96,7 @@ struct ServingSnapshot {
   /// resolved); fresh per-lane environments are built from this.
   EnvironmentOptions env_opts;
   /// The constraint the entry's model was trained for — generation
-  /// validates against this, exactly like the unbatched path.
+  /// validates against this.
   Constraint constraint;
   int attempts_factor = 50;
   double train_seconds = 0.0;
@@ -137,7 +137,10 @@ struct GenerationReport {
 /// constraint bucket, each guarded by its own lock.
 class LearnedSqlGen {
  public:
-  /// Builds the pipeline for `db` (must outlive the generator).
+  /// Builds the pipeline for `db` (must outlive the generator). Rejects
+  /// dense extra network inputs (trainer.net.extra_input_dims != 0): the
+  /// pipeline has no constraint features to feed them, and its decoder
+  /// drives the standard one-hot model only.
   static StatusOr<std::unique_ptr<LearnedSqlGen>> Create(
       const Database* db, const LearnedSqlGenOptions& options);
 
@@ -148,23 +151,35 @@ class LearnedSqlGen {
   /// Keeps generating until `n` satisfying queries are found or the attempt
   /// budget (n · attempts_factor) runs out. Report contains only the
   /// satisfying queries.
-  StatusOr<GenerationReport> GenerateSatisfied(int n);
+  StatusOr<GenerationReport> GenerateSatisfied(int n) {
+    return GenerateSatisfied(n, nullptr);
+  }
 
   /// Generates exactly `n` queries and reports the satisfied fraction
   /// (the paper's accuracy metric). Report contains all n queries.
-  StatusOr<GenerationReport> GenerateBatch(int n);
+  StatusOr<GenerationReport> GenerateBatch(int n) {
+    return GenerateBatch(n, nullptr);
+  }
 
   /// Caller-RNG variants: sampling draws from `rng` instead of the
   /// trainer's internal stream. The serving path derives one stream per
   /// request from (seed, request), making outputs independent of worker
   /// placement and batch composition.
-  StatusOr<GenerationReport> GenerateSatisfied(int n, Rng* rng);
-  StatusOr<GenerationReport> GenerateBatch(int n, Rng* rng);
+  ///
+  /// Every variant decodes through MakeServingSnapshot() and a one-lane
+  /// BatchDecoder, so it returns exactly what the service returns for the
+  /// same model and stream: queries are judged under the environment
+  /// options the model was trained under before any execution-feedback
+  /// switch (ServingSnapshot::env_opts).
+  StatusOr<GenerationReport> GenerateSatisfied(int n, Rng* rng) {
+    return Decode(n, /*batch_mode=*/false, rng);
+  }
+  StatusOr<GenerationReport> GenerateBatch(int n, Rng* rng) {
+    return Decode(n, /*batch_mode=*/true, rng);
+  }
 
   /// Publishes an immutable view of the trained pipeline for lock-free
-  /// batched serving (see BatchDecoder). Fails before Train/LoadModel, or
-  /// when the model uses dense extra inputs (AC-extend) — the batched
-  /// decode path supports the standard one-hot model only.
+  /// batched serving (see BatchDecoder). Fails only before Train/LoadModel.
   StatusOr<ServingSnapshot> MakeServingSnapshot() const;
 
   /// Saves the trained actor's parameters to a binary file.
@@ -182,14 +197,14 @@ class LearnedSqlGen {
   const DatabaseStats& stats() const { return stats_; }
   const CardinalityEstimator& estimator() const { return *estimator_; }
   const CostModel& cost_model() const { return *cost_model_; }
-  SqlGenEnvironment* env() { return env_.get(); }
   const LearnedSqlGenOptions& options() const { return options_; }
 
  private:
   LearnedSqlGen(const Database* db, const LearnedSqlGenOptions& options);
 
-  StatusOr<Trajectory> GenerateOne();
-  StatusOr<Trajectory> GenerateOne(Rng* rng);
+  /// Decodes one request on `rng` (the trainer's stream when null),
+  /// advancing that stream exactly as far as the decode sampled.
+  StatusOr<GenerationReport> Decode(int n, bool batch_mode, Rng* rng);
 
   /// Environment configuration derived from options_, with the compiled
   /// FSM resolved (and memoised in compiled_fsm_) when enabled.
@@ -205,8 +220,8 @@ class LearnedSqlGen {
   /// when compilation is infeasible (interpreted fallback).
   std::shared_ptr<const CompiledFsmTable> compiled_fsm_;
   std::unique_ptr<SqlGenEnvironment> env_;
-  std::unique_ptr<ActorCriticTrainer> ac_trainer_;
-  std::unique_ptr<ReinforceTrainer> reinforce_trainer_;
+  /// Actor-critic, or REINFORCE under use_reinforce; null before training.
+  std::unique_ptr<PolicyTrainer> trainer_;
   std::vector<EpochStats> trace_;
   double train_seconds_ = 0.0;
   /// Environment options and constraint of the last TrainFor (what a

@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "rl/trajectory.h"
 
 namespace lsg {
 
@@ -101,8 +102,7 @@ std::string WorkloadDistribution::ToString() const {
 
 StatusOr<QueryAst> RandomWalkQuery(GenerationFsm* fsm, Rng* rng) {
   fsm->Reset();
-  const int kMaxSteps = 512;
-  for (int step = 0; step < kMaxSteps; ++step) {
+  for (int step = 0; step < kMaxEpisodeSteps; ++step) {
     const std::vector<uint8_t>& mask = fsm->ValidActions();
     // Reservoir-pick a uniform valid action.
     int chosen = -1;
@@ -125,11 +125,10 @@ MetricDomain ProbeMetricDomain(SqlGenEnvironment* env, int samples, Rng* rng,
                                double lo_quantile, double hi_quantile) {
   std::vector<double> metrics;
   metrics.reserve(samples);
-  const int kMaxSteps = 512;
   for (int s = 0; s < samples; ++s) {
     env->Reset();
     double metric = 0.0;
-    for (int step = 0; step < kMaxSteps; ++step) {
+    for (int step = 0; step < kMaxEpisodeSteps; ++step) {
       const std::vector<uint8_t>& mask = env->ValidActions();
       int chosen = -1;
       int seen = 0;

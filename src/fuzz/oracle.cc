@@ -8,6 +8,7 @@
 #include "core/environment.h"
 #include "fsm/compiled_fsm.h"
 #include "rl/policy_network.h"
+#include "rl/reinforce_trainer.h"
 #include "sql/parser.h"
 #include "sql/render.h"
 
@@ -503,7 +504,6 @@ std::optional<OracleViolation> DifferentialOracle::CheckCompiledFsm(
 std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
     const Vocabulary* vocab, const QueryProfile& profile, uint64_t seed) {
   if (!options_.check_batch_decode) return std::nullopt;
-  constexpr int kMaxSteps = 512;  // both decoders share this hard cap
 
   // Small random-weight policy: the batched forward must reproduce the
   // scalar path for *any* parameters, so no training is needed.
@@ -518,43 +518,28 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   const Constraint constraint =
       Constraint::Range(ConstraintMetric::kCardinality, 1.0, 1e12);
 
-  // Scalar reference: the exact loop the unbatched serving path runs —
-  // per-step TryNextDistribution (LSTM MatVec forward) + SampleAction on
-  // the item's private stream.
+  // Scalar reference: the training rollout loop at inference
+  // (RolloutPolicy, train=false) — per-step TryNextDistribution (LSTM
+  // MatVec forward, full-vocabulary softmax) + SampleAction — run episode
+  // by episode on the item's private stream.
   struct RefQuery {
     std::string sql;
     double metric = 0.0;
     bool satisfied = false;
   };
-  auto run_scalar = [&](uint64_t rng_seed,
-                        int n) -> StatusOr<std::vector<RefQuery>> {
-    Rng rng(rng_seed);
+  auto run_scalar = [&](Rng rng, int n) -> StatusOr<std::vector<RefQuery>> {
     SqlGenEnvironment env(db_, vocab, &estimator_, &cost_model_, constraint,
                           env_opts);
     std::vector<RefQuery> out;
     for (int attempt = 0; attempt < n; ++attempt) {
-      env.Reset();
-      PolicyNetwork::Episode ep = actor.BeginEpisode(/*train=*/false);
-      for (int step = 0;; ++step) {
-        if (step >= kMaxSteps) {
-          return Status::Internal("scalar episode exceeded the step cap");
-        }
-        const std::vector<float>* probs = nullptr;
-        LSG_RETURN_IF_ERROR(
-            actor.TryNextDistribution(&ep, env.ValidActions(), &probs));
-        const int a = actor.SampleAction(*probs, &rng);
-        actor.RecordAction(&ep, a);
-        LSG_ASSIGN_OR_RETURN(EnvStepResult sr, env.Step(a));
-        if (sr.done) {
-          RefQuery q;
-          const QueryAst ast = env.TakeAst();
-          q.sql = RenderSql(ast, db_->catalog());
-          q.metric = sr.metric;
-          q.satisfied = sr.satisfied;
-          out.push_back(std::move(q));
-          break;
-        }
-      }
+      LSG_ASSIGN_OR_RETURN(
+          Trajectory traj,
+          RolloutPolicy(&env, &actor, &rng, /*train=*/false, nullptr));
+      RefQuery q;
+      q.sql = RenderSql(traj.ast, db_->catalog());
+      q.metric = traj.final_metric;
+      q.satisfied = traj.satisfied;
+      out.push_back(std::move(q));
     }
     return out;
   };
@@ -572,10 +557,12 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
   // the batch width shrinks mid-run.
   const std::vector<int> budgets = {2, 1, 3};
   std::vector<BatchDecodeItem> items(budgets.size());
+  std::vector<Rng> streams;  // each item's stream before the decode
   for (size_t b = 0; b < items.size(); ++b) {
     items[b].n = budgets[b];
     items[b].batch_mode = true;  // fixed attempts: every episode compared
-    items[b].rng_seed = SplitMix64(seed + 0x1000 + b);
+    items[b].rng = Rng(SplitMix64(seed + 0x1000 + b));
+    streams.push_back(items[b].rng);
   }
   std::vector<BatchDecodeItem*> ptrs;
   for (BatchDecodeItem& item : items) ptrs.push_back(&item);
@@ -589,7 +576,7 @@ std::optional<OracleViolation> DifferentialOracle::CheckBatchDecode(
           "batch-decode",
           StrFormat("lane %zu failed: ", b) + item.status.ToString()};
     }
-    auto ref = run_scalar(item.rng_seed, item.n);
+    auto ref = run_scalar(streams[b], item.n);
     if (!ref.ok()) {
       return OracleViolation{
           "batch-decode",

@@ -119,7 +119,7 @@ class DifferentialOracle {
   /// must hold for arbitrary weights, not just trained ones) and decodes a
   /// group of episodes twice — once through the ragged cross-request
   /// BatchDecoder (batched GEMM forward) and once through the scalar
-  /// NextDistribution / MatVec loop with the same per-item RNG streams —
+  /// RolloutPolicy(train=false) loop with the same per-item RNG streams —
   /// asserting attempt counts, rendered SQL, metrics and satisfied flags
   /// are byte-identical. This is the serving path's standing guarantee:
   /// batching changes wall-clock only, never samples.

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "rl/trajectory.h"
+
 namespace lsg {
 
 namespace {
@@ -108,8 +110,7 @@ StatusOr<QueryAst> RecordedRandomWalk(GenerationFsm* fsm, Rng* rng,
                                       std::vector<int>* actions) {
   actions->clear();
   fsm->Reset();
-  const int kMaxSteps = 512;
-  for (int step = 0; step < kMaxSteps; ++step) {
+  for (int step = 0; step < kMaxEpisodeSteps; ++step) {
     const std::vector<uint8_t>& mask = fsm->ValidActions();
     // Reservoir-pick a uniform valid action (same scheme as
     // RandomWalkQuery, so identical Rng streams yield identical queries).
@@ -135,7 +136,6 @@ StatusOr<QueryAst> ReplayActions(GenerationFsm* fsm,
                                  bool* exact) {
   fsm->Reset();
   bool repaired = false;
-  const int kMaxSteps = 512;
   int steps = 0;
   for (int a : actions) {
     if (fsm->done()) {
@@ -148,7 +148,7 @@ StatusOr<QueryAst> ReplayActions(GenerationFsm* fsm,
       continue;
     }
     LSG_RETURN_IF_ERROR(fsm->Step(a));
-    if (++steps > kMaxSteps) {
+    if (++steps > kMaxEpisodeSteps) {
       return Status::Internal("replay exceeded the step cap");
     }
   }
@@ -168,7 +168,7 @@ StatusOr<QueryAst> ReplayActions(GenerationFsm* fsm,
       return Status::Internal("FSM produced an empty action mask");
     }
     LSG_RETURN_IF_ERROR(fsm->Step(chosen));
-    if (++steps > kMaxSteps) {
+    if (++steps > kMaxEpisodeSteps) {
       return Status::Internal("replay completion exceeded the step cap");
     }
   }

@@ -1,145 +1,47 @@
 #include "rl/actor_critic_trainer.h"
 
-#include "common/logging.h"
-#include "obs/metrics_registry.h"
 #include "obs/span_tracer.h"
 
 namespace lsg {
 
 ActorCriticTrainer::ActorCriticTrainer(Environment* env,
                                        const TrainerOptions& options)
-    : env_(env), options_(options), rng_(options.seed) {
-  LSG_CHECK(env != nullptr);
+    : PolicyTrainer(env, options) {
   NetworkOptions net = options.net;
-  net.seed = options.seed;
-  actor_ = std::make_unique<PolicyNetwork>(env->vocab_size(), net);
   net.seed = options.seed + 1;
   critic_ = std::make_unique<ValueNetwork>(env->vocab_size(), net);
-  actor_opt_ = std::make_unique<Adam>(actor_->Params(), options.actor_lr);
   critic_opt_ = std::make_unique<Adam>(critic_->Params(), options.critic_lr);
-}
-
-StatusOr<Trajectory> ActorCriticTrainer::RolloutWithCritic(
-    PolicyNetwork::Episode* actor_ep, ValueNetwork::Episode* critic_ep,
-    bool train, Rng* rng) {
-  env_->Reset();
-  *actor_ep = actor_->BeginEpisode(train);
-  *critic_ep = critic_->BeginEpisode(train);
-  actor_ep->extra = extra_;
-  critic_ep->extra = extra_;
-  Trajectory traj;
-  const int kMaxSteps = 512;
-  int prev = actor_->bos_index();
-  for (int step = 0; step < kMaxSteps; ++step) {
-    const std::vector<uint8_t>& mask = env_->ValidActions();
-    const std::vector<float>* probs_ptr = nullptr;
-    LSG_RETURN_IF_ERROR(
-        actor_->TryNextDistribution(actor_ep, mask, &probs_ptr));
-    const std::vector<float>& probs = *probs_ptr;
-    if (train) critic_->StepValue(critic_ep, prev);  // V(s_t)
-    int a = actor_->SampleAction(probs, rng);
-    actor_->RecordAction(actor_ep, a);
-    auto sr = env_->Step(a);
-    if (!sr.ok()) return sr.status();
-    traj.actions.push_back(a);
-    traj.rewards.push_back(sr->reward);
-    prev = a;
-    if (sr->done) {
-      traj.completed = true;
-      traj.satisfied = sr->satisfied;
-      traj.final_metric = sr->metric;
-      traj.ast = env_->TakeAst();
-      break;
-    }
-  }
-  if (!traj.completed) {
-    return Status::Internal("episode exceeded the hard step cap");
-  }
-  return traj;
 }
 
 StatusOr<EpochStats> ActorCriticTrainer::TrainEpoch() {
   LSG_OBS_SPAN("rl.ac_epoch");
   EpochStats stats;
   std::vector<PolicyNetwork::Episode> actor_eps(options_.batch_size);
-  std::vector<ValueNetwork::Episode> critic_eps(options_.batch_size);
   std::vector<std::vector<double>> advantages(options_.batch_size);
   for (int b = 0; b < options_.batch_size; ++b) {
-    auto traj =
-        RolloutWithCritic(&actor_eps[b], &critic_eps[b], /*train=*/true, &rng_);
+    ValueNetwork::Episode critic_ep = critic_->BeginEpisode(/*train=*/true);
+    critic_ep.extra = extra_;
+    const CriticHook hook{
+        [&](int prev) { critic_->StepValue(&critic_ep, prev); }, nullptr};
+    auto traj = RolloutPolicy(env_, actor_.get(), &rng_, /*train=*/true,
+                              &actor_eps[b], &hook, &extra_);
     if (!traj.ok()) return traj.status();
-    const size_t T = traj->rewards.size();
-    ValueNetwork::Episode& critic_ep = critic_eps[b];
-    LSG_CHECK(critic_ep.values.size() == T);
-    // TD(0): td_t = r_t + V(s_{t+1}) − V(s_t), terminal V = 0.
-    std::vector<double> advantage(T);
-    std::vector<double> dvalue(T);
-    for (size_t t = 0; t < T; ++t) {
-      double v_next = (t + 1 < T) ? critic_ep.values[t + 1] : 0.0;
-      double td = traj->rewards[t] + v_next - critic_ep.values[t];
-      advantage[t] = td;
-      dvalue[t] = -td;  // ∂ 0.5·td² / ∂V(s_t), target fixed
-    }
-    advantages[b] = std::move(advantage);
+    std::vector<double> dvalue;
+    TdAdvantages(traj->rewards, critic_ep.values, &advantages[b], &dvalue);
     critic_->AccumulateGradients(critic_ep, dvalue);
-    stats.episodes += 1;
-    stats.mean_total_reward += traj->TotalReward();
-    stats.mean_final_reward +=
-        traj->rewards.empty() ? 0.0 : traj->rewards.back();
-    stats.mean_entropy += PolicyNetwork::MeanEntropy(actor_eps[b]);
-    stats.satisfied_frac += traj->satisfied ? 1.0 : 0.0;
+    AddEpisode(*traj, actor_eps[b], &stats);
   }
   if (options_.normalize_advantages) NormalizeAdvantages(&advantages);
   {
     LSG_OBS_SPAN("rl.ac_update");
-    for (int b = 0; b < options_.batch_size; ++b) {
-      actor_->AccumulateGradients(actor_eps[b], advantages[b],
-                                  options_.entropy_coef);
-    }
-    ClipGradNorm(actor_->Params(), options_.grad_clip);
+    UpdateActor(options_, actor_eps, advantages, actor_.get(),
+                actor_opt_.get());
     ClipGradNorm(critic_->Params(), options_.grad_clip);
-    actor_opt_->Step();
     critic_opt_->Step();
   }
-  const double n = static_cast<double>(stats.episodes);
-  stats.mean_total_reward /= n;
-  stats.mean_final_reward /= n;
-  stats.mean_entropy /= n;
-  stats.satisfied_frac /= n;
-  if (options_.keep_best_actor) {
-    double score = stats.satisfied_frac + 0.01 * stats.mean_final_reward;
-    if (score > best_score_) {
-      best_score_ = score;
-      best_actor_.Save(actor_->Params());
-    }
-  }
-  if (obs::Enabled()) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Global();
-    static obs::Counter& epochs = reg.GetCounter("rl.epochs");
-    static obs::Counter& episodes = reg.GetCounter("rl.episodes");
-    epochs.Inc();
-    episodes.Add(static_cast<uint64_t>(stats.episodes));
-    reg.GetGauge("rl.mean_total_reward").Set(stats.mean_total_reward);
-    reg.GetGauge("rl.satisfied_frac").Set(stats.satisfied_frac);
-    reg.GetGauge("rl.mean_entropy").Set(stats.mean_entropy);
-  }
+  AverageStats(stats.episodes, &stats);
+  EndEpoch(stats);
   return stats;
-}
-
-bool ActorCriticTrainer::RestoreBestActor() {
-  return best_actor_.Restore(actor_->Params());
-}
-
-StatusOr<Trajectory> ActorCriticTrainer::Generate() {
-  PolicyNetwork::Episode actor_ep;
-  ValueNetwork::Episode critic_ep;
-  return RolloutWithCritic(&actor_ep, &critic_ep, /*train=*/false, &rng_);
-}
-
-StatusOr<Trajectory> ActorCriticTrainer::Generate(Rng* rng) {
-  PolicyNetwork::Episode actor_ep;
-  ValueNetwork::Episode critic_ep;
-  return RolloutWithCritic(&actor_ep, &critic_ep, /*train=*/false, rng);
 }
 
 }  // namespace lsg

@@ -162,65 +162,23 @@ StatusOr<EpochStats> MetaCriticTrainer::TrainBatch(Environment* env,
   std::vector<PolicyNetwork::Episode> actor_eps(options_.batch_size);
   std::vector<std::vector<double>> advantages(options_.batch_size);
   for (int b = 0; b < options_.batch_size; ++b) {
-    env->Reset();
-    PolicyNetwork::Episode& actor_ep = actor_eps[b];
-    actor_ep = actor->BeginEpisode(true);
-    MetaCritic::Episode critic_ep = meta_->BeginEpisode(true);
-    Trajectory traj;
-    const int kMaxSteps = 512;
-    int prev = actor->bos_index();
-    for (int step = 0; step < kMaxSteps; ++step) {
-      const std::vector<uint8_t>& mask = env->ValidActions();
-      const std::vector<float>& probs = actor->NextDistribution(&actor_ep, mask);
-      meta_->StepValue(&critic_ep, prev);
-      int a = actor->SampleAction(probs, &rng_);
-      actor->RecordAction(&actor_ep, a);
-      auto sr = env->Step(a);
-      if (!sr.ok()) return sr.status();
-      meta_->ObserveTriple(&critic_ep, a, sr->reward);
-      traj.actions.push_back(a);
-      traj.rewards.push_back(sr->reward);
-      prev = a;
-      if (sr->done) {
-        traj.completed = true;
-        traj.satisfied = sr->satisfied;
-        traj.final_metric = sr->metric;
-        break;
-      }
-    }
-    if (!traj.completed) {
-      return Status::Internal("meta-critic episode exceeded step cap");
-    }
-    const size_t T = traj.rewards.size();
-    std::vector<double> advantage(T), dvalue(T);
-    for (size_t t = 0; t < T; ++t) {
-      double v_next = (t + 1 < T) ? critic_ep.values[t + 1] : 0.0;
-      double td = traj.rewards[t] + v_next - critic_ep.values[t];
-      advantage[t] = td;
-      dvalue[t] = -td;
-    }
-    advantages[b] = std::move(advantage);
+    MetaCritic::Episode critic_ep = meta_->BeginEpisode(/*train=*/true);
+    const CriticHook hook{
+        [&](int prev) { meta_->StepValue(&critic_ep, prev); },
+        [&](int a, double r) { meta_->ObserveTriple(&critic_ep, a, r); }};
+    auto traj = RolloutPolicy(env, actor, &rng_, /*train=*/true,
+                              &actor_eps[b], &hook);
+    if (!traj.ok()) return traj.status();
+    std::vector<double> dvalue;
+    TdAdvantages(traj->rewards, critic_ep.values, &advantages[b], &dvalue);
     meta_->AccumulateGradients(critic_ep, dvalue);
-    stats.episodes += 1;
-    stats.mean_total_reward += traj.TotalReward();
-    stats.mean_final_reward += traj.rewards.empty() ? 0.0 : traj.rewards.back();
-    stats.mean_entropy += PolicyNetwork::MeanEntropy(actor_ep);
-    stats.satisfied_frac += traj.satisfied ? 1.0 : 0.0;
+    AddEpisode(*traj, actor_eps[b], &stats);
   }
   if (options_.normalize_advantages) NormalizeAdvantages(&advantages);
-  for (int b = 0; b < options_.batch_size; ++b) {
-    actor->AccumulateGradients(actor_eps[b], advantages[b],
-                               options_.entropy_coef);
-  }
-  ClipGradNorm(actor->Params(), options_.grad_clip);
+  UpdateActor(options_, actor_eps, advantages, actor, actor_opt);
   ClipGradNorm(meta_->Params(), options_.grad_clip);
-  actor_opt->Step();
   meta_opt_->Step();
-  const double n = static_cast<double>(stats.episodes);
-  stats.mean_total_reward /= n;
-  stats.mean_final_reward /= n;
-  stats.mean_entropy /= n;
-  stats.satisfied_frac /= n;
+  AverageStats(stats.episodes, &stats);
   return stats;
 }
 
@@ -236,11 +194,7 @@ StatusOr<EpochStats> MetaCriticTrainer::PretrainEpoch() {
     agg.mean_entropy += st->mean_entropy;
     agg.satisfied_frac += st->satisfied_frac;
   }
-  const double n = static_cast<double>(task_envs_.size());
-  agg.mean_total_reward /= n;
-  agg.mean_final_reward /= n;
-  agg.mean_entropy /= n;
-  agg.satisfied_frac /= n;
+  AverageStats(static_cast<double>(task_envs_.size()), &agg);
   return agg;
 }
 

@@ -30,25 +30,73 @@ void NormalizeAdvantages(std::vector<std::vector<double>>* adv) {
   }
 }
 
+void AddEpisode(const Trajectory& traj, const PolicyNetwork::Episode& ep,
+                EpochStats* stats) {
+  stats->episodes += 1;
+  stats->mean_total_reward += traj.TotalReward();
+  stats->mean_final_reward += traj.rewards.empty() ? 0.0 : traj.rewards.back();
+  stats->mean_entropy += PolicyNetwork::MeanEntropy(ep);
+  stats->satisfied_frac += traj.satisfied ? 1.0 : 0.0;
+}
+
+void AverageStats(double n, EpochStats* stats) {
+  stats->mean_total_reward /= n;
+  stats->mean_final_reward /= n;
+  stats->mean_entropy /= n;
+  stats->satisfied_frac /= n;
+}
+
+void TdAdvantages(const std::vector<double>& rewards,
+                  const std::vector<float>& values,
+                  std::vector<double>* advantage,
+                  std::vector<double>* dvalue) {
+  const size_t T = rewards.size();
+  LSG_CHECK(values.size() == T);
+  advantage->resize(T);
+  dvalue->resize(T);
+  for (size_t t = 0; t < T; ++t) {
+    double v_next = (t + 1 < T) ? values[t + 1] : 0.0;
+    double td = rewards[t] + v_next - values[t];
+    (*advantage)[t] = td;
+    (*dvalue)[t] = -td;
+  }
+}
+
+void UpdateActor(const TrainerOptions& options,
+                 const std::vector<PolicyNetwork::Episode>& episodes,
+                 const std::vector<std::vector<double>>& advantages,
+                 PolicyNetwork* actor, Adam* opt) {
+  for (size_t b = 0; b < episodes.size(); ++b) {
+    actor->AccumulateGradients(episodes[b], advantages[b],
+                               options.entropy_coef);
+  }
+  ClipGradNorm(actor->Params(), options.grad_clip);
+  opt->Step();
+}
+
 StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
                                    Rng* rng, bool train,
-                                   PolicyNetwork::Episode* ep_out) {
+                                   PolicyNetwork::Episode* ep_out,
+                                   const CriticHook* critic,
+                                   const std::vector<float>* extra) {
   env->Reset();
   PolicyNetwork::Episode ep = actor->BeginEpisode(train);
+  if (extra != nullptr) ep.extra = *extra;
   Trajectory traj;
-  // Hard step cap: the FSM guarantees termination well before this.
-  const int kMaxSteps = 512;
-  for (int step = 0; step < kMaxSteps; ++step) {
+  int prev = actor->bos_index();
+  for (int step = 0; step < kMaxEpisodeSteps; ++step) {
     const std::vector<uint8_t>& mask = env->ValidActions();
-    const std::vector<float>* probs_ptr = nullptr;
-    LSG_RETURN_IF_ERROR(actor->TryNextDistribution(&ep, mask, &probs_ptr));
-    const std::vector<float>& probs = *probs_ptr;
-    int a = actor->SampleAction(probs, rng);
+    const std::vector<float>* probs = nullptr;
+    LSG_RETURN_IF_ERROR(actor->TryNextDistribution(&ep, mask, &probs));
+    if (critic != nullptr && critic->value) critic->value(prev);
+    int a = actor->SampleAction(*probs, rng);
     actor->RecordAction(&ep, a);
     auto sr = env->Step(a);
     if (!sr.ok()) return sr.status();
+    if (critic != nullptr && critic->observe) critic->observe(a, sr->reward);
     traj.actions.push_back(a);
     traj.rewards.push_back(sr->reward);
+    prev = a;
     if (sr->done) {
       traj.completed = true;
       traj.satisfied = sr->satisfied;
@@ -64,8 +112,7 @@ StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
   return traj;
 }
 
-ReinforceTrainer::ReinforceTrainer(Environment* env,
-                                   const TrainerOptions& options)
+PolicyTrainer::PolicyTrainer(Environment* env, const TrainerOptions& options)
     : env_(env), options_(options), rng_(options.seed) {
   LSG_CHECK(env != nullptr);
   NetworkOptions net = options.net;
@@ -74,38 +121,12 @@ ReinforceTrainer::ReinforceTrainer(Environment* env,
   actor_opt_ = std::make_unique<Adam>(actor_->Params(), options.actor_lr);
 }
 
-StatusOr<EpochStats> ReinforceTrainer::TrainEpoch() {
-  LSG_OBS_SPAN("rl.reinforce_epoch");
-  EpochStats stats;
-  std::vector<PolicyNetwork::Episode> episodes(options_.batch_size);
-  std::vector<std::vector<double>> advantages(options_.batch_size);
-  for (int b = 0; b < options_.batch_size; ++b) {
-    auto traj =
-        RolloutPolicy(env_, actor_.get(), &rng_, /*train=*/true, &episodes[b]);
-    if (!traj.ok()) return traj.status();
-    advantages[b] = traj->RewardToGo();
-    stats.episodes += 1;
-    stats.mean_total_reward += traj->TotalReward();
-    stats.mean_final_reward +=
-        traj->rewards.empty() ? 0.0 : traj->rewards.back();
-    stats.mean_entropy += PolicyNetwork::MeanEntropy(episodes[b]);
-    stats.satisfied_frac += traj->satisfied ? 1.0 : 0.0;
-  }
-  if (options_.normalize_advantages) NormalizeAdvantages(&advantages);
-  {
-    LSG_OBS_SPAN("rl.reinforce_update");
-    for (int b = 0; b < options_.batch_size; ++b) {
-      actor_->AccumulateGradients(episodes[b], advantages[b],
-                                  options_.entropy_coef);
-    }
-    ClipGradNorm(actor_->Params(), options_.grad_clip);
-    actor_opt_->Step();
-  }
-  const double n = static_cast<double>(stats.episodes);
-  stats.mean_total_reward /= n;
-  stats.mean_final_reward /= n;
-  stats.mean_entropy /= n;
-  stats.satisfied_frac /= n;
+StatusOr<Trajectory> PolicyTrainer::Generate(Rng* rng) {
+  return RolloutPolicy(env_, actor_.get(), rng, /*train=*/false, nullptr,
+                       nullptr, &extra_);
+}
+
+void PolicyTrainer::EndEpoch(const EpochStats& stats) {
   if (options_.keep_best_actor) {
     double score = stats.satisfied_frac + 0.01 * stats.mean_final_reward;
     if (score > best_score_) {
@@ -123,19 +144,33 @@ StatusOr<EpochStats> ReinforceTrainer::TrainEpoch() {
     reg.GetGauge("rl.satisfied_frac").Set(stats.satisfied_frac);
     reg.GetGauge("rl.mean_entropy").Set(stats.mean_entropy);
   }
+}
+
+ReinforceTrainer::ReinforceTrainer(Environment* env,
+                                   const TrainerOptions& options)
+    : PolicyTrainer(env, options) {}
+
+StatusOr<EpochStats> ReinforceTrainer::TrainEpoch() {
+  LSG_OBS_SPAN("rl.reinforce_epoch");
+  EpochStats stats;
+  std::vector<PolicyNetwork::Episode> episodes(options_.batch_size);
+  std::vector<std::vector<double>> advantages(options_.batch_size);
+  for (int b = 0; b < options_.batch_size; ++b) {
+    auto traj = RolloutPolicy(env_, actor_.get(), &rng_, /*train=*/true,
+                              &episodes[b], nullptr, &extra_);
+    if (!traj.ok()) return traj.status();
+    advantages[b] = traj->RewardToGo();
+    AddEpisode(*traj, episodes[b], &stats);
+  }
+  if (options_.normalize_advantages) NormalizeAdvantages(&advantages);
+  {
+    LSG_OBS_SPAN("rl.reinforce_update");
+    UpdateActor(options_, episodes, advantages, actor_.get(),
+                actor_opt_.get());
+  }
+  AverageStats(stats.episodes, &stats);
+  EndEpoch(stats);
   return stats;
-}
-
-bool ReinforceTrainer::RestoreBestActor() {
-  return best_actor_.Restore(actor_->Params());
-}
-
-StatusOr<Trajectory> ReinforceTrainer::Generate() {
-  return RolloutPolicy(env_, actor_.get(), &rng_, /*train=*/false, nullptr);
-}
-
-StatusOr<Trajectory> ReinforceTrainer::Generate(Rng* rng) {
-  return RolloutPolicy(env_, actor_.get(), rng, /*train=*/false, nullptr);
 }
 
 }  // namespace lsg

@@ -1,6 +1,7 @@
 #ifndef LEARNEDSQLGEN_RL_REINFORCE_TRAINER_H_
 #define LEARNEDSQLGEN_RL_REINFORCE_TRAINER_H_
 
+#include <functional>
 #include <memory>
 
 #include "nn/adam.h"
@@ -44,47 +45,114 @@ struct EpochStats {
   bool true_execution_feedback = false;
 };
 
-/// Samples one episode with the policy against the environment. When
+/// Adds one finished episode to the running sums in `stats`.
+void AddEpisode(const Trajectory& traj, const PolicyNetwork::Episode& ep,
+                EpochStats* stats);
+
+/// Turns the running sums in `stats` into means over `n`.
+void AverageStats(double n, EpochStats* stats);
+
+/// TD(0) targets of one episode: advantage_t = r_t + V(s_{t+1}) − V(s_t)
+/// with a terminal V of 0, and the critic gradient dvalue_t = −advantage_t
+/// (∂ 0.5·td² / ∂V(s_t) with the target held fixed).
+void TdAdvantages(const std::vector<double>& rewards,
+                  const std::vector<float>& values,
+                  std::vector<double>* advantage, std::vector<double>* dvalue);
+
+/// One policy-gradient update: accumulates every episode's gradients in
+/// batch order, clips them and applies one optimizer step.
+void UpdateActor(const TrainerOptions& options,
+                 const std::vector<PolicyNetwork::Episode>& episodes,
+                 const std::vector<std::vector<double>>& advantages,
+                 PolicyNetwork* actor, Adam* opt);
+
+/// Optional critic riding along a RolloutPolicy episode. `value` runs once
+/// per step, after the actor's distribution and before sampling, with the
+/// previous token (the BOS index first). `observe` runs after each
+/// environment step with the step's action and reward. Either may be empty.
+struct CriticHook {
+  std::function<void(int prev_token)> value;
+  std::function<void(int action, double reward)> observe;
+};
+
+/// The one scalar episode loop: samples one episode with the policy against
+/// the environment, calling `critic` (if any) at every step. `extra` (if
+/// any) is the dense constraint-feature tail of the actor's inputs. When
 /// `train` is true the actor episode (with caches) is stored into `ep_out`.
 StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
                                    Rng* rng, bool train,
-                                   PolicyNetwork::Episode* ep_out);
+                                   PolicyNetwork::Episode* ep_out,
+                                   const CriticHook* critic = nullptr,
+                                   const std::vector<float>* extra = nullptr);
 
-/// Plain REINFORCE (Williams 1992) with reward-to-go coefficients and no
-/// baseline — the comparison algorithm of §7.3 / Figure 8. Entropy
-/// regularization matches the actor-critic setup so the only difference is
-/// the missing critic baseline.
-class ReinforceTrainer {
+/// What the single-actor trainers share: the environment, the actor and its
+/// optimizer, the trainer's sampling stream, the keep-best checkpoint and
+/// inference through RolloutPolicy.
+class PolicyTrainer {
  public:
-  ReinforceTrainer(Environment* env, const TrainerOptions& options);
+  virtual ~PolicyTrainer() = default;
+  PolicyTrainer(const PolicyTrainer&) = delete;
+  PolicyTrainer& operator=(const PolicyTrainer&) = delete;
 
-  /// Runs one batch of episodes and applies one gradient update.
-  StatusOr<EpochStats> TrainEpoch();
+  /// Runs one batch of episodes and applies one update.
+  virtual StatusOr<EpochStats> TrainEpoch() = 0;
 
   /// Inference: generates one query with the current policy (no learning).
-  StatusOr<Trajectory> Generate();
+  StatusOr<Trajectory> Generate() { return Generate(&rng_); }
 
-  /// Inference with a caller-owned RNG stream (the serving path draws each
-  /// request's stream from (seed, request), so batch-mates and worker
-  /// placement cannot perturb each other's samples).
+  /// Inference with a caller-owned RNG stream. A critic is never stepped
+  /// at inference, so this consumes exactly the actor's samples.
   StatusOr<Trajectory> Generate(Rng* rng);
 
   /// Rolls the actor back to its best checkpoint (keep_best_actor).
   /// Returns false if no checkpoint exists yet.
-  bool RestoreBestActor();
+  bool RestoreBestActor() { return best_actor_.Restore(actor_->Params()); }
 
   PolicyNetwork& actor() { return *actor_; }
   const PolicyNetwork& actor() const { return *actor_; }
   const TrainerOptions& options() const { return options_; }
+  /// The trainer's own sampling stream (used by Generate()).
+  Rng& rng() { return rng_; }
 
- private:
+  /// Per-episode constraint features for the AC-extend baseline; empty for
+  /// the standard model. Copied into every episode's network inputs.
+  void set_extra_features(std::vector<float> extra) {
+    extra_ = std::move(extra);
+  }
+
+  /// Swaps the environment (AC-extend trains one network across multiple
+  /// constraint tasks, each with its own environment). The vocab size must
+  /// match the construction-time environment.
+  void set_environment(Environment* env) { env_ = env; }
+
+ protected:
+  PolicyTrainer(Environment* env, const TrainerOptions& options);
+
+  /// Epoch epilogue: updates the keep-best checkpoint and publishes the
+  /// rl.* metrics.
+  void EndEpoch(const EpochStats& stats);
+
   Environment* env_;
   TrainerOptions options_;
   Rng rng_;
   std::unique_ptr<PolicyNetwork> actor_;
   std::unique_ptr<Adam> actor_opt_;
+  std::vector<float> extra_;
+
+ private:
   ParamSnapshot best_actor_;
   double best_score_ = -1.0;
+};
+
+/// Plain REINFORCE (Williams 1992) with reward-to-go coefficients and no
+/// baseline — the comparison algorithm of §7.3 / Figure 8. Entropy
+/// regularization matches the actor-critic setup so the only difference is
+/// the missing critic baseline.
+class ReinforceTrainer : public PolicyTrainer {
+ public:
+  ReinforceTrainer(Environment* env, const TrainerOptions& options);
+
+  StatusOr<EpochStats> TrainEpoch() override;
 };
 
 }  // namespace lsg

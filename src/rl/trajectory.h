@@ -18,6 +18,10 @@ struct EnvStepResult {
   bool satisfied = false;     ///< metric satisfies the constraint
 };
 
+/// Hard cap on the steps of one episode, shared by every loop that drives
+/// an Environment. The FSM guarantees termination well before it.
+inline constexpr int kMaxEpisodeSteps = 512;
+
 /// The agent's view of the generation environment (FSM masking + database
 /// feedback). Implemented by core::SqlGenEnvironment; the trainers in this
 /// module are generic over it so they can be unit-tested against toy

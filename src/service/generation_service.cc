@@ -261,16 +261,16 @@ void GenerationService::RunGroup(const ConstraintKey& key,
     p.entry = std::move(acquired->entry);
     {
       MutexLock entry_lock(&p.entry->mu);
-      if (p.entry->gen == nullptr) {
-        response.status = Status::Internal("registry returned an empty model");
-        continue;
-      }
-      response.train_seconds = p.entry->gen->last_train_seconds();
       p.snapshot = p.entry->snapshot;
     }
+    if (p.snapshot == nullptr) {
+      response.status = Status::Internal("registry returned an empty model");
+      continue;
+    }
+    response.train_seconds = p.snapshot->train_seconds;
     p.item.n = request.n;
     p.item.batch_mode = request.batch;
-    p.item.rng_seed = RequestSeed(options_.gen.seed, request);
+    p.item.rng = Rng(RequestSeed(options_.gen.seed, request));
     pending.push_back(std::move(p));
   }
 
@@ -287,18 +287,14 @@ void GenerationService::RunGroup(const ConstraintKey& key,
     response.report = std::move(report);
   };
 
-  // Batched path: all items sharing a snapshot decode as one ragged batch,
-  // lock-free (the snapshot is immutable and the entry shared_ptr keeps it
-  // alive even across an eviction). Distinct snapshots inside one bucket
-  // group can only arise from an evict/rebuild race; each cohort simply
-  // decodes separately. max_batch <= 1 disables the decoder entirely and
-  // pins the legacy single-stream generate path below — the compatibility
-  // escape hatch, and the reference baseline the batched path is measured
-  // against in bench_service_throughput.
-  const bool batching = options_.max_batch > 1;
+  // All items sharing a snapshot decode as one ragged batch of up to
+  // max_batch lanes, lock-free (the snapshot is immutable and the entry
+  // shared_ptr keeps it alive even across an eviction). Distinct snapshots
+  // inside one bucket group can only arise from an evict/rebuild race; each
+  // cohort simply decodes separately.
   std::vector<char> done(pending.size(), 0);
-  for (size_t i = 0; batching && i < pending.size(); ++i) {
-    if (done[i] || pending[i].snapshot == nullptr) continue;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    if (done[i]) continue;
     std::vector<BatchDecodeItem*> items;
     std::vector<size_t> members;
     for (size_t j = i; j < pending.size(); ++j) {
@@ -320,33 +316,6 @@ void GenerationService::RunGroup(const ConstraintKey& key,
                                  stats.steps);
     }
     for (size_t j : members) finish(pending[j]);
-  }
-
-  // Fallback for snapshot-less models (e.g. dense extra inputs) and for
-  // batching-off deployments: generate one request at a time under the
-  // model mutex, exactly the pre-batching serving path but on the
-  // request's private stream.
-  for (Pending& p : pending) {
-    if (batching && p.snapshot != nullptr) continue;
-    const GenerationRequest& request = (*group)[p.index].request;
-    MutexLock model_lock(&p.entry->mu);
-    LearnedSqlGen* gen = p.entry->gen.get();
-    if (gen == nullptr) {
-      (*responses)[p.index].status =
-          Status::Internal("registry returned an empty model");
-      continue;
-    }
-    metrics_.batch_size.Record(1);  // snapshot-less requests decode alone
-    Rng rng(p.item.rng_seed);
-    auto report = request.batch ? gen->GenerateBatch(request.n, &rng)
-                                : gen->GenerateSatisfied(request.n, &rng);
-    if (!report.ok()) {
-      p.item.status = report.status();
-    } else {
-      p.item.status = Status::Ok();
-      p.item.report = std::move(*report);
-    }
-    finish(p);
   }
 }
 

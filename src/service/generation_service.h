@@ -46,7 +46,7 @@ struct GenerationServiceOptions {
   /// `max_batch` queued requests that resolve to the same constraint
   /// bucket and advances them one token per step through a single batched
   /// forward (see BatchDecoder), so batch mates share every matrix load.
-  /// <= 1 disables coalescing. Outputs are identical either way: each
+  /// <= 1 means one decode lane. Outputs are identical either way: each
   /// request samples from its own (seed, request)-derived stream, so batch
   /// composition, worker placement and queue order cannot perturb results.
   int max_batch = 8;
@@ -81,8 +81,7 @@ struct GenerationServiceOptions {
 /// queued requests whose constraints share a registry bucket and decodes
 /// them together against that bucket's immutable model snapshot — one
 /// batched LSTM forward per step for the whole group (see BatchDecoder).
-/// Buckets are trained at most once via the shared ModelRegistry; models
-/// without a snapshot are served one request at a time under their lock.
+/// Buckets are trained at most once via the shared ModelRegistry.
 /// Submit blocks when the queue is full (backpressure); TrySubmit fails
 /// fast instead. Shutdown() drains every accepted request — including ones
 /// a worker is still holding in its local group — before joining.
@@ -135,9 +134,9 @@ class GenerationService {
   /// generates (RunGroup), completes every promise.
   void HandleGroup(int worker_index, const ConstraintKey& key,
                    std::vector<Job>* group);
-  /// Resolves the group's model and decodes all requests — batched over
-  /// the entry's published snapshot when available, else per request under
-  /// the model mutex. Fills one response per job; never throws a job away.
+  /// Resolves the group's model and decodes all requests batched over the
+  /// entry's published snapshot. Fills one response per job; never throws
+  /// a job away.
   void RunGroup(const ConstraintKey& key, std::vector<Job>* group,
                 std::vector<GenerationResponse>* responses);
   static std::future<GenerationResponse> RejectedFuture(uint64_t id,

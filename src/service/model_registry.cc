@@ -131,11 +131,12 @@ void ModelRegistry::BuildEntry(const ConstraintKey& key, ModelEntry* entry,
     }
   }
   if (status.ok()) {
-    // Publish the copy-free serving view. Failure is not fatal: models the
-    // batched path cannot drive (dense extra inputs) keep snapshot == null
-    // and are served on the per-request fallback under entry->mu.
+    // Publish the copy-free serving view every request decodes against. A
+    // trained or loaded model always has one, so a failure is a build
+    // error like any other.
     auto snap = entry->gen->MakeServingSnapshot();
-    if (snap.ok()) {
+    status = snap.status();
+    if (status.ok()) {
       entry->snapshot =
           std::make_shared<const ServingSnapshot>(std::move(*snap));
     }

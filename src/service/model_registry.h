@@ -25,12 +25,11 @@ struct ModelEntry {
   std::unique_ptr<LearnedSqlGen> gen LSG_GUARDED_BY(mu);
   /// The first requester's exact constraint.
   Constraint constraint LSG_GUARDED_BY(mu);
-  /// Immutable serving view of `gen`, published once after a successful
-  /// build (null when the model cannot be snapshotted, e.g. dense
-  /// extra-input nets — those requests fall back to generating under `mu`).
-  /// Readers copy the shared_ptr under `mu`, then decode lock-free: every
-  /// component the snapshot points to is const after `ready`, so batch
-  /// mates never serialize on this entry's mutex.
+  /// Immutable serving view of `gen`, published with every successful
+  /// build (non-null whenever `status` is ok). Readers copy the shared_ptr
+  /// under `mu`, then decode lock-free: every component the snapshot
+  /// points to is const after `ready`, so batch mates never serialize on
+  /// this entry's mutex.
   std::shared_ptr<const ServingSnapshot> snapshot LSG_GUARDED_BY(mu);
 };
 

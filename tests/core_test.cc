@@ -13,6 +13,8 @@
 #include "obs/episode_telemetry.h"
 #include "obs/json.h"
 #include "obs/obs.h"
+#include "rl/reinforce_trainer.h"
+#include "sql/render.h"
 #include "tests/test_db.h"
 
 namespace lsg {
@@ -296,6 +298,16 @@ TEST(GeneratorTest, CreateRejectsEmptyDb) {
   EXPECT_FALSE(LearnedSqlGen::Create(nullptr, LearnedSqlGenOptions()).ok());
 }
 
+// The pipeline never feeds constraint features, so a dense-input network
+// would train on zero-filled tails; Create refuses it up front.
+TEST(GeneratorTest, CreateRejectsDenseExtraInputs) {
+  Database db = BuildScoreStudentDb();
+  LearnedSqlGenOptions opts;
+  opts.trainer.net.extra_input_dims = 2;
+  auto gen = LearnedSqlGen::Create(&db, opts);
+  EXPECT_EQ(gen.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(GeneratorTest, GenerateBeforeTrainFails) {
   Database db = BuildScoreStudentDb();
   auto gen = LearnedSqlGen::Create(&db, LearnedSqlGenOptions());
@@ -350,12 +362,13 @@ TEST(GeneratorTest, GenerateSatisfiedStopsAtTarget) {
   EXPECT_GT(rep->train_seconds, 0.0);
 }
 
-// The serving tentpole's core contract: decoding a group of requests
-// through BatchDecoder (one batched forward per step, ragged lanes that
-// join and retire at different times) yields byte-for-byte the queries
-// GenerateBatch / GenerateSatisfied produce when run one request at a time
-// with the same per-request seeds. A second decode at max_lanes = 1 pins
-// the batch-size-1 path (MatVec fallback) to the same output.
+// The decode contract: BatchDecoder (one batched forward per step, ragged
+// lanes that join and retire at different times) yields byte-for-byte the
+// queries of the scalar rollout loop — RolloutPolicy(train=false), the loop
+// training samples with — run one episode at a time on each request's
+// stream. A second decode at max_lanes = 1 pins the single-lane path (the
+// shape of LearnedSqlGen::Generate*) to the same output, and the library
+// calls leave the caller's stream exactly where the reference left it.
 TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
   Database db = BuildScoreStudentDb();
   LearnedSqlGenOptions opts;
@@ -378,12 +391,13 @@ TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
   };
   const std::vector<Spec> specs = {
       {4, true}, {2, true}, {3, false}, {1, true}, {2, false}};
-  auto make_items = [&specs] {
+  auto seed_of = [](size_t i) { return SplitMix64(0x5eedULL + i); };
+  auto make_items = [&] {
     std::vector<BatchDecodeItem> items(specs.size());
     for (size_t i = 0; i < specs.size(); ++i) {
       items[i].n = specs[i].n;
       items[i].batch_mode = specs[i].batch_mode;
-      items[i].rng_seed = SplitMix64(0x5eedULL + i);
+      items[i].rng = Rng(seed_of(i));
     }
     return items;
   };
@@ -393,6 +407,35 @@ TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
     return BatchDecoder(&*snap, max_lanes).Run(ptrs);
   };
 
+  // Sequential reference: RolloutPolicy episodes on the item's stream, kept
+  // and budgeted as GenerateBatch / GenerateSatisfied document. RolloutPolicy
+  // takes a mutable network, so it runs a copy of the trained actor.
+  PolicyNetwork actor = *snap->actor;
+  SqlGenEnvironment env(&db, snap->vocab, snap->estimator, snap->cost_model,
+                        snap->constraint, snap->env_opts);
+  struct Reference {
+    int attempts = 0;
+    int satisfied = 0;
+    std::vector<Trajectory> kept;
+    Rng rng;
+  };
+  auto reference = [&](const Spec& spec, Rng rng) {
+    Reference ref;
+    const int budget = spec.batch_mode ? spec.n : spec.n * opts.attempts_factor;
+    while (ref.attempts < budget && (spec.batch_mode || ref.satisfied < spec.n)) {
+      auto traj = RolloutPolicy(&env, &actor, &rng, /*train=*/false, nullptr);
+      EXPECT_TRUE(traj.ok()) << traj.status().ToString();
+      if (!traj.ok()) break;
+      ++ref.attempts;
+      if (traj->satisfied) ++ref.satisfied;
+      if (spec.batch_mode || traj->satisfied) {
+        ref.kept.push_back(std::move(*traj));
+      }
+    }
+    ref.rng = rng;
+    return ref;
+  };
+
   std::vector<BatchDecodeItem> batched = make_items();
   auto stats = run(&batched, static_cast<int>(batched.size()));
   EXPECT_GT(stats.peak_lanes, 1);
@@ -400,20 +443,27 @@ TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
 
   for (size_t i = 0; i < specs.size(); ++i) {
     ASSERT_TRUE(batched[i].status.ok()) << batched[i].status.ToString();
-    Rng rng(batched[i].rng_seed);
-    auto ref = specs[i].batch_mode
-                   ? (*gen)->GenerateBatch(specs[i].n, &rng)
-                   : (*gen)->GenerateSatisfied(specs[i].n, &rng);
-    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
-    EXPECT_EQ(batched[i].report.attempts, ref->attempts);
-    EXPECT_EQ(batched[i].report.satisfied, ref->satisfied);
-    ASSERT_EQ(batched[i].report.queries.size(), ref->queries.size());
-    for (size_t q = 0; q < ref->queries.size(); ++q) {
-      EXPECT_EQ(batched[i].report.queries[q].sql, ref->queries[q].sql);
-      EXPECT_EQ(batched[i].report.queries[q].metric, ref->queries[q].metric);
-      EXPECT_EQ(batched[i].report.queries[q].satisfied,
-                ref->queries[q].satisfied);
+    const Reference ref = reference(specs[i], Rng(seed_of(i)));
+    const GenerationReport& got = batched[i].report;
+    EXPECT_EQ(got.attempts, ref.attempts);
+    EXPECT_EQ(got.satisfied, ref.satisfied);
+    ASSERT_EQ(got.queries.size(), ref.kept.size());
+    for (size_t q = 0; q < ref.kept.size(); ++q) {
+      EXPECT_EQ(got.queries[q].sql, RenderSql(ref.kept[q].ast, db.catalog()));
+      EXPECT_EQ(got.queries[q].metric, ref.kept[q].final_metric);
+      EXPECT_EQ(got.queries[q].satisfied, ref.kept[q].satisfied);
     }
+    EXPECT_EQ(batched[i].rng.Next(), Rng(ref.rng).Next());
+
+    Rng rng(seed_of(i));
+    auto lib = specs[i].batch_mode ? (*gen)->GenerateBatch(specs[i].n, &rng)
+                                   : (*gen)->GenerateSatisfied(specs[i].n, &rng);
+    ASSERT_TRUE(lib.ok()) << lib.status().ToString();
+    ASSERT_EQ(lib->queries.size(), got.queries.size());
+    for (size_t q = 0; q < got.queries.size(); ++q) {
+      EXPECT_EQ(lib->queries[q].sql, got.queries[q].sql);
+    }
+    EXPECT_EQ(rng.Next(), Rng(ref.rng).Next());
   }
 
   std::vector<BatchDecodeItem> solo = make_items();
@@ -425,6 +475,55 @@ TEST(BatchDecoderTest, MatchesSequentialGenerationBitwise) {
       EXPECT_EQ(solo[i].report.queries[q].sql,
                 batched[i].report.queries[q].sql);
     }
+  }
+}
+
+// After a true-execution feedback tail, the library decodes the way the
+// service does: GenerateBatch on a stream returns exactly what the
+// published snapshot's BatchDecoder (the service's decode) returns on the
+// same stream, and every query is judged by the estimator the model was
+// trained under before the switch — not by the training environment the
+// tail left on execution feedback.
+TEST(GeneratorTest, GenerateAfterExecutionTailMatchesServingDecode) {
+  Database db = BuildScoreStudentDb();
+  LearnedSqlGenOptions opts;
+  opts.train_epochs = 8;
+  opts.trainer.batch_size = 4;
+  opts.vocab.values_per_column = 8;
+  opts.true_feedback_tail = 0.5;
+  auto gen = LearnedSqlGen::Create(&db, opts);
+  ASSERT_TRUE(gen.ok());
+  const Constraint c = Constraint::Range(ConstraintMetric::kCardinality, 5, 50);
+  ASSERT_TRUE((*gen)->Train(c).ok());
+  ASSERT_TRUE((*gen)->trace().back().true_execution_feedback);
+  auto snap = (*gen)->MakeServingSnapshot();
+  ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+
+  const int n = 24;
+  const uint64_t seed = 0xfeedULL;
+  BatchDecodeItem item;
+  item.n = n;
+  item.batch_mode = true;
+  item.rng = Rng(seed);
+  BatchDecoder(&*snap, /*max_lanes=*/4).Run({&item});
+  ASSERT_TRUE(item.status.ok()) << item.status.ToString();
+
+  Rng rng(seed);
+  auto rep = (*gen)->GenerateBatch(n, &rng);
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  ASSERT_EQ(rep->queries.size(), item.report.queries.size());
+  EXPECT_EQ(rep->satisfied, item.report.satisfied);
+
+  SqlGenEnvironment estimator_env(&db, &(*gen)->vocab(), &(*gen)->estimator(),
+                                  &(*gen)->cost_model(), c,
+                                  EnvironmentOptions());
+  for (size_t q = 0; q < rep->queries.size(); ++q) {
+    const GeneratedQuery& got = rep->queries[q];
+    EXPECT_EQ(got.sql, item.report.queries[q].sql);
+    EXPECT_EQ(got.metric, item.report.queries[q].metric) << got.sql;
+    EXPECT_EQ(got.satisfied, item.report.queries[q].satisfied) << got.sql;
+    EXPECT_EQ(got.metric, estimator_env.MetricOf(got.ast)) << got.sql;
+    EXPECT_EQ(got.satisfied, c.Satisfied(got.metric)) << got.sql;
   }
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
+#include "common/string_util.h"
 #include "rl/actor_critic_trainer.h"
+#include "rl/meta_critic.h"
 #include "rl/policy_network.h"
 #include "rl/reinforce_trainer.h"
 #include "rl/reward.h"
@@ -353,6 +356,130 @@ TEST(ExtraFeatureTest, AcExtendInputChangesDistribution) {
   double diff = 0;
   for (int i = 0; i < 4; ++i) diff += std::abs(p1[i] - p2[i]);
   EXPECT_GT(diff, 1e-4);
+}
+
+// ---------------------------------------------------------------- golden
+
+// Exact EpochStats of every trainer on the toy environment, captured
+// before the trainers' episode loops were merged into RolloutPolicy. Any
+// change to RNG consumption or to the order of float operations in the
+// rollout, advantage or update path changes these bits. Dropout is on and
+// the stack has two layers so every per-network RNG stream is exercised;
+// the AC-extend run covers the dense constraint-feature inputs.
+uint64_t Bits(double v) {
+  uint64_t b;
+  std::memcpy(&b, &v, sizeof(b));
+  return b;
+}
+
+void AppendStats(const EpochStats& s, std::vector<uint64_t>* out) {
+  out->push_back(static_cast<uint64_t>(s.episodes));
+  out->push_back(Bits(s.mean_total_reward));
+  out->push_back(Bits(s.mean_final_reward));
+  out->push_back(Bits(s.mean_entropy));
+  out->push_back(Bits(s.satisfied_frac));
+}
+
+TrainerOptions GoldenOptions(uint64_t seed) {
+  TrainerOptions o = FastOptions(seed);
+  o.batch_size = 4;
+  o.net.hidden_dim = 8;
+  o.net.num_layers = 2;
+  o.net.dropout = 0.3f;
+  return o;
+}
+
+TEST(TrainerGoldenTest, EpochStatsBitsUnchanged) {
+  std::vector<uint64_t> got;
+  auto record = [&got](const StatusOr<EpochStats>& st) {
+    ASSERT_TRUE(st.ok()) << st.status().ToString();
+    AppendStats(*st, &got);
+  };
+  auto record_generate = [&got](const StatusOr<Trajectory>& t) {
+    ASSERT_TRUE(t.ok()) << t.status().ToString();
+    for (int a : t->actions) got.push_back(static_cast<uint64_t>(a));
+  };
+  {
+    ToyEnv env({2, 0, 1});
+    ActorCriticTrainer ac(&env, GoldenOptions(31));
+    for (int e = 0; e < 3; ++e) record(ac.TrainEpoch());
+    record_generate(ac.Generate());
+    Rng rng(5);
+    record_generate(ac.Generate(&rng));
+  }
+  {
+    ToyEnv env({1, 2, 0});
+    TrainerOptions o = GoldenOptions(32);
+    o.net.extra_input_dims = 2;
+    ActorCriticTrainer acx(&env, o);
+    acx.set_extra_features({0.5f, -1.0f});
+    for (int e = 0; e < 3; ++e) record(acx.TrainEpoch());
+    record_generate(acx.Generate());
+  }
+  {
+    ToyEnv env({0, 2, 1});
+    ReinforceTrainer rf(&env, GoldenOptions(33));
+    for (int e = 0; e < 3; ++e) record(rf.TrainEpoch());
+    record_generate(rf.Generate());
+  }
+  {
+    ToyEnv t1({2, 1, 0}), t2({0, 0, 1}), fresh({1, 0, 2});
+    MetaCritic::Options mo;
+    mo.hidden_dim = 8;
+    mo.action_embed_dim = 4;
+    mo.encoder_dim = 4;
+    mo.fusion_dim = 8;
+    MetaCriticTrainer meta({&t1, &t2}, GoldenOptions(34), mo);
+    for (int e = 0; e < 3; ++e) record(meta.PretrainEpoch());
+    auto adapted = meta.Adapt(&fresh, 3);
+    ASSERT_TRUE(adapted.ok()) << adapted.status().ToString();
+    for (const EpochStats& st : *adapted) AppendStats(st, &got);
+    record_generate(meta.GenerateWithAdapted(&fresh));
+  }
+  const std::vector<uint64_t> want = {
+      // actor-critic: 3 epochs, Generate(), Generate(&rng)
+      0x0000000000000004ULL, 0x3ff5555555555555ULL, 0x3fe5555555555555ULL,
+      0x3fea5da531000000ULL, 0x3fd0000000000000ULL, 0x0000000000000004ULL,
+      0x3fe0000000000000ULL, 0x3fd0000000000000ULL, 0x3fea5d95ae000000ULL,
+      0x0000000000000000ULL, 0x0000000000000004ULL, 0x3fe5555555555555ULL,
+      0x3fd5555555555555ULL, 0x3fea5d6d62000000ULL, 0x0000000000000000ULL,
+      0x0000000000000001ULL, 0x0000000000000002ULL, 0x0000000000000000ULL,
+      0x0000000000000003ULL, 0x0000000000000000ULL, 0x0000000000000001ULL,
+      0x0000000000000001ULL, 0x0000000000000003ULL,
+      // AC-extend: 3 epochs, Generate()
+      0x0000000000000004ULL, 0x3fd5555555555555ULL, 0x3fc5555555555555ULL,
+      0x3fea547a2e000000ULL, 0x0000000000000000ULL, 0x0000000000000004ULL,
+      0x3fefffffffffffffULL, 0x3fdfffffffffffffULL, 0x3fea552482000000ULL,
+      0x0000000000000000ULL, 0x0000000000000004ULL, 0x3fe0000000000000ULL,
+      0x3fd0000000000000ULL, 0x3fea519251000000ULL, 0x0000000000000000ULL,
+      0x0000000000000002ULL, 0x0000000000000000ULL, 0x0000000000000002ULL,
+      0x0000000000000003ULL,
+      // REINFORCE: 3 epochs, Generate()
+      0x0000000000000004ULL, 0x3fe5555555555555ULL, 0x3fd5555555555555ULL,
+      0x3fea5d29f6000000ULL, 0x0000000000000000ULL, 0x0000000000000004ULL,
+      0x3fd5555555555555ULL, 0x3fc5555555555555ULL, 0x3fea5cc999000000ULL,
+      0x0000000000000000ULL, 0x0000000000000004ULL, 0x3feaaaaaaaaaaaaaULL,
+      0x3fdaaaaaaaaaaaaaULL, 0x3fea5d39cf000000ULL, 0x0000000000000000ULL,
+      0x0000000000000001ULL, 0x0000000000000000ULL, 0x0000000000000000ULL,
+      0x0000000000000003ULL,
+      // meta-critic: 3 PretrainEpoch, Adapt(3), GenerateWithAdapted
+      0x0000000000000008ULL, 0x3feaaaaaaaaaaaaaULL, 0x3fdaaaaaaaaaaaaaULL,
+      0x3fea5bfe03800000ULL, 0x3fc0000000000000ULL, 0x0000000000000008ULL,
+      0x3fe5555555555555ULL, 0x3fd5555555555555ULL, 0x3fea5ab6d4800000ULL,
+      0x3fc0000000000000ULL, 0x0000000000000008ULL, 0x3fe5555555555555ULL,
+      0x3fd5555555555555ULL, 0x3fea5a7699800000ULL, 0x0000000000000000ULL,
+      0x0000000000000004ULL, 0x3feaaaaaaaaaaaaaULL, 0x3fdaaaaaaaaaaaaaULL,
+      0x3fea5d1072000000ULL, 0x0000000000000000ULL, 0x0000000000000004ULL,
+      0x3ff2aaaaaaaaaaaaULL, 0x3fe2aaaaaaaaaaaaULL, 0x3fea5d0ead000000ULL,
+      0x0000000000000000ULL, 0x0000000000000004ULL, 0x3fe0000000000000ULL,
+      0x3fd0000000000000ULL, 0x3fea5d0117000000ULL, 0x0000000000000000ULL,
+      0x0000000000000000ULL, 0x0000000000000002ULL, 0x0000000000000000ULL,
+      0x0000000000000003ULL,
+  };
+  std::string dump;
+  for (uint64_t v : got) dump += StrFormat("0x%016llxULL,\n",
+                                          static_cast<unsigned long long>(v));
+  EXPECT_EQ(got, want) << dump;
 }
 
 }  // namespace

@@ -245,8 +245,8 @@ TEST_F(RegistryTest, EvictionSkipsBusyEntriesAndNeverBlocks) {
   auto first = registry.Acquire(a, 1);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
 
-  // Simulate a generation in flight exactly as GenerationService does: a
-  // *worker thread* holds A's entry mutex around GenerateBatch while other
+  // Simulate a busy entry: a *worker thread* holds A's entry mutex (as a
+  // caller generating through the entry's pipeline does) while other
   // threads run Acquire. The busy lock must live on its own thread — the
   // registry orders registry_mu_ before ModelEntry::mu, so a thread that
   // calls Acquire may never already hold an entry mutex (doing it here on
@@ -524,7 +524,7 @@ TEST_F(ServiceTest, OutputsIndependentOfWorkerCountAndBatching) {
     }
     return by_id;
   };
-  const auto baseline = run_config(1, 1);  // unbatched, single worker
+  const auto baseline = run_config(1, 1);  // one decode lane, one worker
   EXPECT_EQ(baseline, run_config(1, 8));   // batching on
   EXPECT_EQ(baseline, run_config(4, 1));   // worker placement varies
   EXPECT_EQ(baseline, run_config(4, 8));   // both at once
