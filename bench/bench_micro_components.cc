@@ -10,7 +10,6 @@
 #include "core/workload.h"
 #include "datasets/tpch_like.h"
 #include "exec/executor.h"
-#include "fsm/compiled_fsm.h"
 #include "fuzz/trace.h"
 #include "nn/lstm.h"
 #include "optimizer/cost_model.h"
@@ -58,58 +57,28 @@ void BM_FsmMaskComputation(benchmark::State& state) {
 }
 BENCHMARK(BM_FsmMaskComputation);
 
-// --- compiled FSM: table lookups vs. grammar re-derivation --------------
-//
-// Same mask-heavy WHERE position as BM_FsmMaskComputation, but under the
-// SPJ profile (the one whose structural graph compiles on every bundled
-// dataset) so the interpreted and compiled variants answer the identical
-// question and the ratio is the table's speedup.
+// SPJ-profile twins of BM_FsmMaskComputation / BM_RandomWalkEpisode: the
+// same mask-heavy WHERE position, and whole mask-driven episodes
+// (ValidActions + Step every token).
 
-const CompiledFsmTable& SpjTable() {
-  static const CompiledFsmTable* table = [] {
-    MicroFixture& f = Fixture();
-    auto compiled =
-        CompileFsm(f.db, *f.vocab, QueryProfile::SpjOnly(),
-                   CompileFsmOptions());
-    LSG_CHECK(compiled.ok());
-    return new CompiledFsmTable(std::move(compiled).value());
-  }();
-  return *table;
-}
-
-void FsmMaskBench(benchmark::State& state, bool compiled) {
+void BM_FsmMaskInterpreted(benchmark::State& state) {
   MicroFixture& f = Fixture();
   GenerationFsm fsm(&f.db, &*f.vocab, QueryProfile::SpjOnly());
-  if (compiled) fsm.AttachCompiledTable(&SpjTable());
   int lineitem = f.db.catalog().FindTable("lineitem");
   LSG_CHECK_OK(fsm.Step(f.vocab->keyword_id(Keyword::kFrom)));
   LSG_CHECK_OK(fsm.Step(f.vocab->table_token_id(lineitem)));
   LSG_CHECK_OK(fsm.Step(f.vocab->keyword_id(Keyword::kSelect)));
   LSG_CHECK_OK(fsm.Step(f.vocab->column_token_id(lineitem, 0)));
   LSG_CHECK_OK(fsm.Step(f.vocab->keyword_id(Keyword::kWhere)));
-  LSG_CHECK(!compiled || fsm.compiled_active());
   for (auto _ : state) {
     benchmark::DoNotOptimize(fsm.ValidActions());
   }
 }
-
-void BM_FsmMaskInterpreted(benchmark::State& state) {
-  FsmMaskBench(state, /*compiled=*/false);
-}
 BENCHMARK(BM_FsmMaskInterpreted);
 
-void BM_FsmMaskCompiled(benchmark::State& state) {
-  FsmMaskBench(state, /*compiled=*/true);
-}
-BENCHMARK(BM_FsmMaskCompiled);
-
-// Whole mask-driven episodes (ValidActions + Step every token): the
-// end-to-end win a ValidActions-heavy caller — policy episodes, random
-// walks — sees from the table.
-void FsmWalkBench(benchmark::State& state, bool compiled) {
+void BM_FsmWalkEpisodeInterpreted(benchmark::State& state) {
   MicroFixture& f = Fixture();
   GenerationFsm fsm(&f.db, &*f.vocab, QueryProfile::SpjOnly());
-  if (compiled) fsm.AttachCompiledTable(&SpjTable());
   Rng rng(1);
   for (auto _ : state) {
     auto q = RandomWalkQuery(&fsm, &rng);
@@ -117,16 +86,7 @@ void FsmWalkBench(benchmark::State& state, bool compiled) {
     benchmark::DoNotOptimize(q->type);
   }
 }
-
-void BM_FsmWalkEpisodeInterpreted(benchmark::State& state) {
-  FsmWalkBench(state, /*compiled=*/false);
-}
 BENCHMARK(BM_FsmWalkEpisodeInterpreted);
-
-void BM_FsmWalkEpisodeCompiled(benchmark::State& state) {
-  FsmWalkBench(state, /*compiled=*/true);
-}
-BENCHMARK(BM_FsmWalkEpisodeCompiled);
 
 void BM_RandomWalkEpisode(benchmark::State& state) {
   MicroFixture& f = Fixture();

@@ -51,28 +51,22 @@ bool InWhereClause(BuildPhase p) {
          p == BuildPhase::kInOpen || p == BuildPhase::kAfterPredicate;
 }
 
-/// Shared body of AbstractStateKey / StructuralStateKey. `structural`
-/// drops the budget slack (the compiler stores one mask per budget regime
-/// instead) and, when the profile can never open GROUP BY or ORDER BY,
-/// also the plain select-item identities — the masks read those only to
-/// seed groupby_remaining / orderby_candidates, so with both branches
-/// closed the counts alone decide every mask and every transition.
-std::string StateKeyImpl(const AstBuilder& builder,
-                         const QueryProfile& profile, bool structural) {
+}  // namespace
+
+std::string AbstractStateKey(const AstBuilder& builder,
+                             const QueryProfile& profile) {
   if (builder.done()) return "DONE";
   std::string k;
   k.reserve(96);
 
-  if (!structural) {
-    // The masks read the token count only through the two budget thresholds
-    // (BudgetTight, subquery-tight), i.e. through the remaining slack. Slack
-    // above 256 cannot reach the thresholds within any structurally bounded
-    // episode (the longest clamped episode is far shorter), so all such
-    // states are budget-equivalent and the counter drops out of the key.
-    const int slack =
-        profile.max_tokens - static_cast<int>(builder.tokens().size());
-    AppendInt(&k, std::max(0, std::min(slack, 256)));
-  }
+  // The masks read the token count only through the two budget thresholds
+  // (BudgetTight, subquery-tight), i.e. through the remaining slack. Slack
+  // above 256 cannot reach the thresholds within any structurally bounded
+  // episode (the longest clamped episode is far shorter), so all such
+  // states are budget-equivalent and the counter drops out of the key.
+  const int slack =
+      profile.max_tokens - static_cast<int>(builder.tokens().size());
+  AppendInt(&k, std::max(0, std::min(slack, 256)));
 
   const QueryAst& ast = builder.ast();
   AppendInt(&k, static_cast<int>(ast.type));
@@ -163,9 +157,7 @@ std::string StateKeyImpl(const AstBuilder& builder,
       // exists solely in the outermost frame; subquery frames key on the
       // counts alone.
       if (fi == 0 && f.purpose == FramePurpose::kTopLevel) {
-        if (!structural || profile.allow_group_by || profile.allow_order_by) {
-          AppendSortedColumns(&k, std::move(plain));
-        }
+        AppendSortedColumns(&k, std::move(plain));
         // The HAVING column is read by the masks from the moment it is
         // chosen (operator typing at kHavingOp, value ownership at
         // kHavingValue) and never after kAfterHaving.
@@ -189,18 +181,6 @@ std::string StateKeyImpl(const AstBuilder& builder,
     }
   }
   return k;
-}
-
-}  // namespace
-
-std::string AbstractStateKey(const AstBuilder& builder,
-                             const QueryProfile& profile) {
-  return StateKeyImpl(builder, profile, /*structural=*/false);
-}
-
-std::string StructuralStateKey(const AstBuilder& builder,
-                               const QueryProfile& profile) {
-  return StateKeyImpl(builder, profile, /*structural=*/true);
 }
 
 }  // namespace lsg

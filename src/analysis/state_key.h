@@ -18,8 +18,8 @@ namespace lsg {
 /// HAVING head, ORDER BY emptiness, DML target/progress) — never literal
 /// values inside predicates. The key serialises exactly those observables:
 ///
-///  - token count saturated at `profile.max_tokens` (both budget flags are
-///    constant beyond it),
+///  - the remaining token slack `profile.max_tokens - count`, clamped to
+///    [0, 256] (both budget flags are constant outside that range),
 ///  - per frame: purpose, phase, scope_tables, pending agg/column/op/negated,
 ///    outer_lhs, pinned_table/insert_next_col, sorted groupby_remaining and
 ///    orderby_candidates,
@@ -34,18 +34,6 @@ namespace lsg {
 /// state offers the same masks forever after.
 std::string AbstractStateKey(const AstBuilder& builder,
                              const QueryProfile& profile);
-
-/// Budget-free variant of AbstractStateKey, the graph-export surface used
-/// by the FSM compiler (fsm/compiled_fsm.cc): every field except the token
-/// slack. The masks read the token count only through the two budget
-/// booleans (BudgetTight / subquery-tight), and stepping a token never
-/// reads the count at all, so the structural graph keyed this way is
-/// budget-invariant: one transition table serves every token count, with a
-/// per-state mask *triple* (one mask per budget regime) supplying the only
-/// budget-dependent observable. Equal structural keys therefore imply equal
-/// masks under every regime and equal successor keys for every token.
-std::string StructuralStateKey(const AstBuilder& builder,
-                               const QueryProfile& profile);
 
 }  // namespace lsg
 

@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "fsm/compiled_fsm.h"
 #include "vexec/backend_factory.h"
 #include "obs/episode_telemetry.h"
 #include "obs/metrics_registry.h"
@@ -32,13 +31,6 @@ SqlGenEnvironment::SqlGenEnvironment(const Database* db,
       prefix_est_(estimator, cost_model),
       constraint_str_(constraint.ToString()) {
   LSG_CHECK(estimator != nullptr && cost_model != nullptr);
-  if (options.compiled_fsm != nullptr) {
-    LSG_CHECK(options.compiled_fsm->fingerprint() ==
-              CompiledFsmFingerprint(*db, *vocab, options.profile))
-        << "compiled FSM table was built for a different "
-        << "(database, vocabulary, profile)";
-    fsm_.AttachCompiledTable(options.compiled_fsm);
-  }
   // NOLINTNEXTLINE(concurrency-mt-unsafe): startup latch, no setenv
   const char* check = std::getenv("LSG_CHECK_INCREMENTAL");
   check_incremental_ = check != nullptr && check[0] == '1';

@@ -55,15 +55,6 @@ struct EnvironmentOptions {
   /// Morsel parallelism for the vectorized backend (including the calling
   /// thread). Ignored by the reference backend.
   int vexec_workers = 1;
-
-  /// Optional compiled mask/transition table (fsm/compiled_fsm.h): mask
-  /// lookups become indexed loads instead of grammar + semantic-rule
-  /// re-derivation. Must have been compiled for exactly this environment's
-  /// (database, vocabulary, profile) — verified by fingerprint at
-  /// construction — and must outlive the environment. nullptr = interpreted
-  /// masks (always correct; the compiled path is differentially tested
-  /// against it).
-  const CompiledFsmTable* compiled_fsm = nullptr;
 };
 
 /// The paper's environment (Figure 1): wraps the FSM (action masking), the

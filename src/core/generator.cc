@@ -7,7 +7,6 @@
 #include "common/logging.h"
 #include "common/stopwatch.h"
 #include "core/batch_decoder.h"
-#include "fsm/compiled_fsm.h"
 #include "nn/serialize.h"
 #include "obs/span_tracer.h"
 
@@ -27,6 +26,11 @@ StatusOr<std::unique_ptr<LearnedSqlGen>> LearnedSqlGen::Create(
         "LearnedSqlGen supports the standard one-hot model only "
         "(trainer.net.extra_input_dims must be 0)");
   }
+  if (!options.profile.OpensAnyStatement()) {
+    return Status::InvalidArgument(
+        "QueryProfile opens no statement kind (allow_select, allow_insert, "
+        "allow_update and allow_delete are all false)");
+  }
   std::unique_ptr<LearnedSqlGen> gen(new LearnedSqlGen(db, options));
   gen->stats_ = DatabaseStats::Collect(*db);
   auto vocab = Vocabulary::Build(*db, options.vocab);
@@ -42,7 +46,7 @@ Status LearnedSqlGen::Train(const Constraint& constraint) {
   return TrainFor(constraint, options_.train_epochs);
 }
 
-EnvironmentOptions LearnedSqlGen::BuildEnvOptions() {
+EnvironmentOptions LearnedSqlGen::BuildEnvOptions() const {
   EnvironmentOptions env_opts;
   env_opts.profile = options_.profile;
   env_opts.feedback = options_.feedback;
@@ -52,15 +56,6 @@ EnvironmentOptions LearnedSqlGen::BuildEnvOptions() {
       options_.incremental_prefix_estimates;
   env_opts.execution_backend = options_.execution_backend;
   env_opts.vexec_workers = options_.vexec_workers;
-  env_opts.compiled_fsm = options_.compiled_fsm;
-  if (env_opts.compiled_fsm == nullptr && options_.use_compiled_fsm) {
-    if (compiled_fsm_ == nullptr) {
-      compiled_fsm_ = CompiledFsmCache::Global().GetOrCompile(
-          *db_, *vocab_, options_.profile, CompileFsmOptions(),
-          options_.compiled_fsm_cache_dir);
-    }
-    env_opts.compiled_fsm = compiled_fsm_.get();
-  }
   return env_opts;
 }
 
@@ -101,11 +96,17 @@ Status LearnedSqlGen::TrainFor(const Constraint& constraint, int epochs) {
     trace_.push_back(st);
   };
 
-  if (options_.use_reinforce) {
-    trainer_ = std::make_unique<ReinforceTrainer>(env_.get(), options_.trainer);
-  } else {
-    trainer_ =
-        std::make_unique<ActorCriticTrainer>(env_.get(), options_.trainer);
+  {
+    // Network initialisation is ~3% of a short TPC-H train: a named stage
+    // of gen.train (see lsgtrace's span-coverage check).
+    LSG_OBS_SPAN("gen.build_trainer");
+    if (options_.use_reinforce) {
+      trainer_ =
+          std::make_unique<ReinforceTrainer>(env_.get(), options_.trainer);
+    } else {
+      trainer_ =
+          std::make_unique<ActorCriticTrainer>(env_.get(), options_.trainer);
+    }
   }
   for (int e = 0; e < epochs; ++e) {
     epoch_begin(e);

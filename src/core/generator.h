@@ -59,24 +59,6 @@ struct LearnedSqlGenOptions {
   /// See EnvironmentOptions::incremental_prefix_estimates.
   bool incremental_prefix_estimates = true;
 
-  /// Compile (or load from `compiled_fsm_cache_dir`) a mask/transition
-  /// table for this (database, vocabulary, profile) and serve masks from
-  /// it. Compilation is memoised process-wide and capped (see
-  /// CompileFsmOptions): a pair whose structural state graph is too large —
-  /// wide schemas under permissive profiles — falls back to the
-  /// interpreted FSM automatically, so this is always safe to leave on.
-  bool use_compiled_fsm = true;
-
-  /// Pre-compiled table to attach instead of compiling (must match this
-  /// pipeline's database/vocabulary/profile and outlive it). Wins over
-  /// `use_compiled_fsm` resolution when set.
-  const CompiledFsmTable* compiled_fsm = nullptr;
-
-  /// Disk cache directory for compiled FSM artifacts (empty = in-memory
-  /// only). The service layer defaults this to a sibling of the model
-  /// registry's spill directory.
-  std::string compiled_fsm_cache_dir;
-
   uint64_t seed = 2024;
 };
 
@@ -92,8 +74,8 @@ struct ServingSnapshot {
   const CardinalityEstimator* estimator = nullptr;
   const CostModel* cost_model = nullptr;
   const PolicyNetwork* actor = nullptr;
-  /// Environment configuration the model was trained under (compiled FSM
-  /// resolved); fresh per-lane environments are built from this.
+  /// Environment configuration the model was trained under; fresh per-lane
+  /// environments are built from this.
   EnvironmentOptions env_opts;
   /// The constraint the entry's model was trained for — generation
   /// validates against this.
@@ -206,9 +188,8 @@ class LearnedSqlGen {
   /// advancing that stream exactly as far as the decode sampled.
   StatusOr<GenerationReport> Decode(int n, bool batch_mode, Rng* rng);
 
-  /// Environment configuration derived from options_, with the compiled
-  /// FSM resolved (and memoised in compiled_fsm_) when enabled.
-  EnvironmentOptions BuildEnvOptions();
+  /// Environment configuration derived from options_.
+  EnvironmentOptions BuildEnvOptions() const;
 
   const Database* db_;
   LearnedSqlGenOptions options_;
@@ -216,9 +197,6 @@ class LearnedSqlGen {
   std::optional<Vocabulary> vocab_;
   std::unique_ptr<CardinalityEstimator> estimator_;
   std::unique_ptr<CostModel> cost_model_;
-  /// Resolved via CompiledFsmCache when options_.use_compiled_fsm; nullptr
-  /// when compilation is infeasible (interpreted fallback).
-  std::shared_ptr<const CompiledFsmTable> compiled_fsm_;
   std::unique_ptr<SqlGenEnvironment> env_;
   /// Actor-critic, or REINFORCE under use_reinforce; null before training.
   std::unique_ptr<PolicyTrainer> trainer_;

@@ -1,11 +1,9 @@
 #include "fuzz/fuzzer.h"
 
 #include <filesystem>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "fsm/compiled_fsm.h"
 #include "fuzz/shrinker.h"
 #include "fuzz/test_databases.h"
 #include "sql/render.h"
@@ -37,8 +35,7 @@ const std::vector<FuzzProfile>& FuzzProfiles() {
       profiles->push_back({"dml", p});
     }
     // Appended (trace files index this list): the select-project-join
-    // restriction — the one SELECT shape whose state graph stays small
-    // enough for the compiled-FSM oracle on every dataset.
+    // restriction.
     profiles->push_back({"spj", QueryProfile::SpjOnly()});
     return profiles;
   }();
@@ -47,11 +44,10 @@ const std::vector<FuzzProfile>& FuzzProfiles() {
 
 std::string FuzzRunStats::ToString() const {
   return StrFormat(
-      "episodes=%llu skipped=%llu failures=%zu shrink_probes=%d "
-      "compiled_tables=%d compiled_skipped=%d",
+      "episodes=%llu skipped=%llu failures=%zu shrink_probes=%d",
       static_cast<unsigned long long>(episodes),
       static_cast<unsigned long long>(skipped), failures.size(),
-      shrink_probes, compiled_tables, compiled_skipped);
+      shrink_probes);
 }
 
 namespace {
@@ -75,13 +71,6 @@ std::string ArtifactPath(const std::string& dir, const EpisodeTrace& t) {
 
 StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
   const std::vector<FuzzProfile>& profiles = FuzzProfiles();
-  if (!options.inject_fsm_bug.empty() &&
-      options.inject_fsm_bug != "mask-bit" &&
-      options.inject_fsm_bug != "transition-swap") {
-    return Status::InvalidArgument("unknown inject_fsm_bug \"" +
-                                   options.inject_fsm_bug +
-                                   "\" (want mask-bit|transition-swap)");
-  }
   std::vector<std::string> datasets = options.datasets;
   if (datasets.empty()) datasets = FuzzDatasetNames();
   if (!options.corpus_dir.empty()) {
@@ -103,45 +92,6 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
     auto vocab = Vocabulary::Build(db, vo);
     if (!vocab.ok()) return vocab.status();
     DifferentialOracle oracle(&db, options.oracle);
-
-    // Lazily fetch one compiled FSM table per profile for the compiled-fsm
-    // oracle, via the process-wide cache: a pair past the compile caps is
-    // probed once per process (negative entry), not once per RunFuzz call,
-    // and its episodes simply skip the seventh oracle. Fault injection
-    // corrupts a private copy — the shared cached table stays pristine.
-    std::vector<std::shared_ptr<const CompiledFsmTable>> shared_tables(
-        profiles.size());
-    std::vector<std::unique_ptr<CompiledFsmTable>> corrupt_tables(
-        profiles.size());
-    std::vector<bool> table_probed(profiles.size(), false);
-    auto compiled_table_for = [&](int pi) -> const CompiledFsmTable* {
-      if (!options.oracle.check_compiled_fsm) return nullptr;
-      if (!table_probed[pi]) {
-        table_probed[pi] = true;
-        CompileFsmOptions co;
-        co.max_states = options.compiled_max_states;
-        co.max_millis = options.compiled_max_millis;
-        shared_tables[pi] = CompiledFsmCache::Global().GetOrCompile(
-            db, *vocab, profiles[pi].profile, co, /*cache_dir=*/"");
-        if (shared_tables[pi] == nullptr) {
-          ++stats.compiled_skipped;
-        } else {
-          ++stats.compiled_tables;
-          if (options.inject_fsm_bug == "mask-bit" ||
-              options.inject_fsm_bug == "transition-swap") {
-            corrupt_tables[pi] =
-                std::make_unique<CompiledFsmTable>(*shared_tables[pi]);
-            if (options.inject_fsm_bug == "mask-bit") {
-              corrupt_tables[pi]->CorruptMaskBit(options.seed);
-            } else {
-              corrupt_tables[pi]->CorruptTransitionSwap(options.seed);
-            }
-          }
-        }
-      }
-      return corrupt_tables[pi] != nullptr ? corrupt_tables[pi].get()
-                                           : shared_tables[pi].get();
-    };
 
     int dataset_failures = 0;
     for (int ep = 0; ep < options.episodes; ++ep) {
@@ -178,14 +128,8 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
           violation = oracle.CheckPrefixEstimates(
               &*vocab, profiles[pi].profile, actions);
         }
-        if (!violation.has_value()) {
-          // Seventh oracle: the compiled mask/transition table must agree
-          // with the interpreted FSM token-by-token over this episode.
-          violation = oracle.CheckCompiledFsm(
-              &*vocab, profiles[pi].profile, compiled_table_for(pi), actions);
-        }
         if (!violation.has_value() && ep % 8 == 0) {
-          // Eighth oracle (sampled — it decodes whole episode groups, not
+          // Seventh oracle (sampled — it decodes whole episode groups, not
           // this episode's actions): the batched cross-request decoder must
           // reproduce the scalar decode path byte-for-byte under a random
           // policy seeded from this episode.
@@ -207,10 +151,6 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
               v = oracle.CheckPrefixEstimates(&*vocab, profiles[pi].profile,
                                               candidate);
             }
-            if (!v.has_value()) {
-              v = oracle.CheckCompiledFsm(&*vocab, profiles[pi].profile,
-                                          compiled_table_for(pi), candidate);
-            }
             return v.has_value() && v->oracle == want;
           };
           ShrinkResult shrunk = ShrinkTrace(actions, still_fails);
@@ -224,11 +164,6 @@ StatusOr<FuzzRunStats> RunFuzz(const FuzzOptions& options) {
             if (!v.has_value()) {
               v = oracle.CheckPrefixEstimates(&*vocab, profiles[pi].profile,
                                               shrunk.actions);
-            }
-            if (!v.has_value()) {
-              v = oracle.CheckCompiledFsm(&*vocab, profiles[pi].profile,
-                                          compiled_table_for(pi),
-                                          shrunk.actions);
             }
             if (v.has_value() && v->oracle == want) {
               trace.actions = shrunk.actions;
@@ -280,23 +215,6 @@ StatusOr<EpisodeTrace> ReplayTraceEpisode(const EpisodeTrace& trace,
   if (!violation.has_value()) {
     violation = oracle.CheckPrefixEstimates(
         &*vocab, profiles[trace.profile].profile, trace.actions);
-  }
-  if (!violation.has_value() && oracle_opts.check_compiled_fsm) {
-    // Re-derive the table for the replay (cached process-wide) so
-    // compiled-fsm failures caught live reproduce deterministically from
-    // the artifact alone.
-    CompileFsmOptions co;
-    co.max_states = FuzzOptions().compiled_max_states;
-    co.max_millis = FuzzOptions().compiled_max_millis;
-    std::shared_ptr<const CompiledFsmTable> table =
-        CompiledFsmCache::Global().GetOrCompile(
-            db, *vocab, profiles[trace.profile].profile, co,
-            /*cache_dir=*/"");
-    if (table != nullptr) {
-      violation = oracle.CheckCompiledFsm(&*vocab,
-                                          profiles[trace.profile].profile,
-                                          table.get(), trace.actions);
-    }
   }
   if (!violation.has_value()) {
     // Batch-decode failures replay from the trace's seed (the oracle

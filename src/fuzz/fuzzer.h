@@ -40,26 +40,12 @@ struct FuzzOptions {
   int max_failures = 16;      ///< stop a dataset after this many failures
   bool verbose = false;       ///< progress + failure logging via LSG_LOG
   OracleOptions oracle;
-
-  /// Fault injection for the compiled-FSM oracle: "mask-bit" flips a legal
-  /// token off in a compiled mask, "transition-swap" crosses two compiled
-  /// edges. The run must then report compiled-fsm violations — proof the
-  /// differential harness actually detects table corruption.
-  std::string inject_fsm_bug;
-
-  /// Compile caps for the per-(dataset, profile) oracle tables. Pairs past
-  /// the caps are skipped (the compiled oracle has nothing to check there);
-  /// the small bundled datasets all fit.
-  int compiled_max_states = 120000;
-  int compiled_max_millis = 5000;
 };
 
 struct FuzzRunStats {
   uint64_t episodes = 0;  ///< episodes generated and checked
   uint64_t skipped = 0;   ///< episodes with a skipped check (work bounds)
   int shrink_probes = 0;  ///< candidate traces evaluated while shrinking
-  int compiled_tables = 0;   ///< (dataset, profile) pairs compiled
-  int compiled_skipped = 0;  ///< pairs past the compile caps (not checked)
   /// Every failure, already shrunk when shrinking is on (and saved under
   /// corpus_dir when set).
   std::vector<EpisodeTrace> failures;

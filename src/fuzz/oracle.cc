@@ -6,7 +6,6 @@
 #include "common/string_util.h"
 #include "core/batch_decoder.h"
 #include "core/environment.h"
-#include "fsm/compiled_fsm.h"
 #include "rl/policy_network.h"
 #include "rl/reinforce_trainer.h"
 #include "sql/parser.h"
@@ -422,81 +421,6 @@ std::optional<OracleViolation> DifferentialOracle::CheckPrefixEstimates(
                     "full=%.17g",
                     i, inc_cost, full_cost)};
     }
-  }
-  return std::nullopt;
-}
-
-std::optional<OracleViolation> DifferentialOracle::CheckCompiledFsm(
-    const Vocabulary* vocab, const QueryProfile& profile,
-    const CompiledFsmTable* table, const std::vector<int>& actions) {
-  if (!options_.check_compiled_fsm || table == nullptr) return std::nullopt;
-  GenerationFsm interp(db_, vocab, profile);
-  CompiledGenerationFsm compiled(db_, vocab, profile, table);
-  // One comparison per prefix, including the empty one and the final
-  // (done) state after the last action.
-  for (size_t i = 0; i <= actions.size(); ++i) {
-    if (interp.done() != compiled.done()) {
-      return OracleViolation{
-          "compiled-fsm",
-          StrFormat("done() diverged before token %zu: interpreted=%d "
-                    "compiled=%d",
-                    i, interp.done() ? 1 : 0, compiled.done() ? 1 : 0)};
-    }
-    if (!compiled.done() && !compiled.compiled_active()) {
-      return OracleViolation{
-          "compiled-fsm",
-          StrFormat("compiled walk left the table before token %zu "
-                    "(transition gap)",
-                    i)};
-    }
-    const std::vector<uint8_t>& mi = interp.ValidActions();
-    const std::vector<uint8_t>& mc = compiled.ValidActions();
-    int wi = 0, wc = 0;
-    int first_diff = -1;
-    for (int id = 0; id < vocab->size(); ++id) {
-      const bool a = mi[id] != 0, b = mc[id] != 0;
-      wi += a ? 1 : 0;
-      wc += b ? 1 : 0;
-      if (a != b && first_diff < 0) first_diff = id;
-    }
-    if (first_diff >= 0) {
-      return OracleViolation{
-          "compiled-fsm",
-          StrFormat("mask diverged before token %zu at token id %d (%s): "
-                    "interpreted=%d compiled=%d",
-                    i, first_diff, vocab->token(first_diff).text.c_str(),
-                    mi[first_diff] != 0 ? 1 : 0, mc[first_diff] != 0 ? 1 : 0)};
-    }
-    if (interp.last_mask_width() != compiled.last_mask_width() || wi != wc) {
-      return OracleViolation{
-          "compiled-fsm",
-          StrFormat("mask width diverged before token %zu: interpreted=%d/%d "
-                    "compiled=%d/%d",
-                    i, wi, interp.last_mask_width(), wc,
-                    compiled.last_mask_width())};
-    }
-    if (i == actions.size()) break;
-    Status si = interp.Step(actions[i]);
-    Status sc = compiled.Step(actions[i]);
-    if (si.ok() != sc.ok()) {
-      return OracleViolation{
-          "compiled-fsm",
-          StrFormat("step %zu accept diverged: interpreted=%s compiled=%s", i,
-                    si.ToString().c_str(), sc.ToString().c_str())};
-    }
-    if (!si.ok()) {
-      return OracleViolation{
-          "compiled-fsm",
-          StrFormat("replay rejected token %zu: ", i) + si.ToString()};
-    }
-  }
-  if (compiled.done() &&
-      compiled.compiled_state() != table->accept_state()) {
-    return OracleViolation{
-        "compiled-fsm",
-        StrFormat("finished episode not on the accept state: state=%u "
-                  "accept=%u",
-                  compiled.compiled_state(), table->accept_state())};
   }
   return std::nullopt;
 }

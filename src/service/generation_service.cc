@@ -14,17 +14,11 @@ namespace lsg {
 namespace {
 
 // Folds the service-level feedback cache into the per-pipeline options the
-// registry builds every model from, and defaults the compiled-FSM artifact
-// cache to a sibling of the model spill directory so both kinds of
-// build-once state live together.
+// registry builds every model from.
 LearnedSqlGenOptions MergedGenOptions(const GenerationServiceOptions& options) {
   LearnedSqlGenOptions gen = options.gen;
   if (options.feedback_cache != nullptr) {
     gen.feedback_cache = options.feedback_cache;
-  }
-  if (gen.compiled_fsm_cache_dir.empty() &&
-      !options.registry.spill_dir.empty()) {
-    gen.compiled_fsm_cache_dir = options.registry.spill_dir + "/compiled_fsm";
   }
   return gen;
 }

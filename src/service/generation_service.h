@@ -68,12 +68,6 @@ struct GenerationServiceOptions {
   /// entries. Must outlive the service when non-null. Equivalent to
   /// setting `gen.feedback_cache`; this field wins when both are set.
   FeedbackCache* feedback_cache = nullptr;
-
-  // Compiled FSM tables are configured through `gen` (use_compiled_fsm /
-  // compiled_fsm / compiled_fsm_cache_dir); when `gen.compiled_fsm_cache_dir`
-  // is empty and `registry.spill_dir` is set, artifacts are cached under
-  // `<spill_dir>/compiled_fsm` beside the spilled models. Workers share one
-  // immutable table per (db, vocab, profile) via the process-wide cache.
 };
 
 /// Multi-tenant front end over LearnedSqlGen: a fixed worker pool drains a

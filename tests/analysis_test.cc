@@ -63,7 +63,7 @@ TEST(FsmAnalyzerTest, BundledDatasetsCleanUnderDefaultProfile) {
   }
 }
 
-TEST(FsmAnalyzerTest, ScoreCleanUnderTightBudgetRegime) {
+TEST(FsmAnalyzerTest, ScoreCleanUnderTightTokenBudget) {
   // The exact-budget regime explores the tightness-pruning boundary itself;
   // masked completion paths must still reach EOF from every state.
   Database db = BuildScoreStudentDb();

@@ -308,6 +308,19 @@ TEST(GeneratorTest, CreateRejectsDenseExtraInputs) {
   EXPECT_EQ(gen.status().code(), StatusCode::kInvalidArgument);
 }
 
+// A profile opening no statement kind would abort in the FSM constructor
+// at the first Train (killing a service worker); Create refuses it.
+TEST(GeneratorTest, CreateRejectsProfileWithNoStatementKind) {
+  Database db = BuildScoreStudentDb();
+  LearnedSqlGenOptions opts;
+  opts.profile.allow_select = false;
+  auto gen = LearnedSqlGen::Create(&db, opts);
+  EXPECT_EQ(gen.status().code(), StatusCode::kInvalidArgument);
+  // Any single statement kind is enough.
+  opts.profile = QueryProfile::DeleteOnly();
+  EXPECT_TRUE(LearnedSqlGen::Create(&db, opts).ok());
+}
+
 TEST(GeneratorTest, GenerateBeforeTrainFails) {
   Database db = BuildScoreStudentDb();
   auto gen = LearnedSqlGen::Create(&db, LearnedSqlGenOptions());

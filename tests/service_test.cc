@@ -471,6 +471,23 @@ TEST_F(ServiceTest, InvalidRequestFailsWithoutPoisoningTheService) {
   EXPECT_EQ(m.requests_completed, 1u);
 }
 
+// A profile opening no statement kind is a registry build error on each
+// request, not an abort inside a worker's first training.
+TEST_F(ServiceTest, ProfileWithNoStatementKindFailsEachRequest) {
+  GenerationServiceOptions opts = ServiceOptions(1);
+  opts.gen.profile.allow_select = false;
+  auto service = GenerationService::Create(&db_, opts);
+  ASSERT_TRUE(service.ok());
+  for (double card : {10.0, 200.0}) {
+    GenerationRequest req;
+    req.constraint = CardPoint(card);
+    req.n = 1;
+    GenerationResponse r = (*service)->SubmitAndWait(std::move(req));
+    EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ((*service)->Metrics().requests_failed, 2u);
+}
+
 TEST_F(ServiceTest, ConcurrencyOneRunsAreReproducible) {
   auto run_once = [&] {
     auto service = GenerationService::Create(&db_, ServiceOptions(1));

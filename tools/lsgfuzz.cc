@@ -14,8 +14,12 @@
 //   lsgfuzz --service --rounds 6                     # fuzz the service
 //   lsgfuzz --episodes 50 --inject-bug card-off-by-one   # harness check
 //
-// Exit status: 0 clean, 1 violations found, 2 usage error.
+// Exit status: 0 clean, 1 violations found, 2 usage error (including a
+// count that is not a positive integer, and an --inject-bug run that could
+// not fail because its --oracle mode or --service skips the catching check).
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -50,10 +54,10 @@ void Usage() {
       "                   only the vectorized-vs-reference lockstep check;\n"
       "                   batch-decode only the batched-vs-scalar decode\n"
       "                   equivalence check\n"
-      "  --inject-bug K   card-off-by-one|render-space|mask-bit|\n"
-      "                   transition-swap|hash-collision|\n"
+      "  --inject-bug K   card-off-by-one|render-space|hash-collision|\n"
       "                   sel-vector-off-by-one (mutation-tests the\n"
-      "                   harness: the run MUST report violations)\n"
+      "                   harness: the run MUST report violations, so the\n"
+      "                   --oracle mode must keep the check that catches it)\n"
       "service options:\n"
       "  --rounds N       service lifecycles (default 4)\n"
       "  --requests N     requests per round (default 16)\n");
@@ -62,6 +66,19 @@ void Usage() {
 int FailUsage(const char* what) {
   std::fprintf(stderr, "%s (try --help)\n", what);
   return 2;
+}
+
+/// Parses a positive decimal int; "abc", "0", "-3" and "5x" all fail
+/// rather than silently running zero episodes.
+bool ParsePositive(const char* text, int* out) {
+  char* end = nullptr;
+  errno = 0;
+  const long v = std::strtol(text, &end, 10);
+  if (end == text || *end != '\0' || errno != 0 || v <= 0 || v > INT_MAX) {
+    return false;
+  }
+  *out = static_cast<int>(v);
+  return true;
 }
 
 }  // namespace
@@ -84,13 +101,22 @@ int main(int argc, char** argv) {
     }
     return argv[i + 1];
   };
+  auto need_positive = [&](int i, int* out) {
+    const char* v = need_value(i);
+    if (!ParsePositive(v, out)) {
+      std::fprintf(stderr,
+                   "%s needs a positive integer, got \"%s\" (try --help)\n",
+                   argv[i], v);
+      std::exit(2);
+    }
+  };
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--help" || a == "-h") {
       Usage();
       return 0;
     } else if (a == "--episodes") {
-      episodes = std::atoi(need_value(i++));
+      need_positive(i++, &episodes);
     } else if (a == "--seed") {
       seed = std::strtoull(need_value(i++), nullptr, 10);
     } else if (a == "--dataset") {
@@ -104,7 +130,7 @@ int main(int argc, char** argv) {
     } else if (a == "--no-shrink") {
       shrink = false;
     } else if (a == "--max-failures") {
-      max_failures = std::atoi(need_value(i++));
+      need_positive(i++, &max_failures);
     } else if (a == "--verbose") {
       verbose = true;
     } else if (a == "--inject-bug") {
@@ -116,9 +142,9 @@ int main(int argc, char** argv) {
     } else if (a == "--service") {
       service_mode = true;
     } else if (a == "--rounds") {
-      rounds = std::atoi(need_value(i++));
+      need_positive(i++, &rounds);
     } else if (a == "--requests") {
-      requests = std::atoi(need_value(i++));
+      need_positive(i++, &requests);
     } else {
       return FailUsage(("unknown flag " + a).c_str());
     }
@@ -134,7 +160,6 @@ int main(int argc, char** argv) {
     oracle.check_estimator = false;
     oracle.check_dml_apply = false;
     oracle.check_prefix_estimates = false;
-    oracle.check_compiled_fsm = false;
     oracle.check_vexec = true;
     oracle.check_batch_decode = false;
   } else if (oracle_mode == "batch-decode") {
@@ -146,23 +171,33 @@ int main(int argc, char** argv) {
     oracle.check_estimator = false;
     oracle.check_dml_apply = false;
     oracle.check_prefix_estimates = false;
-    oracle.check_compiled_fsm = false;
     oracle.check_vexec = false;
     oracle.check_batch_decode = true;
   } else if (oracle_mode != "all") {
     return FailUsage("unknown --oracle name");
   }
-  std::string inject_fsm_bug;
   if (inject == "card-off-by-one") {
     oracle.inject_card_offset = 1;
   } else if (inject == "render-space") {
     oracle.inject_render_space = true;
-  } else if (inject == "mask-bit" || inject == "transition-swap") {
-    inject_fsm_bug = inject;  // corrupts the compiled FSM tables
   } else if (inject == "hash-collision" || inject == "sel-vector-off-by-one") {
     oracle.inject_vexec_bug = vexec::ParseInjectBug(inject);
   } else if (!inject.empty()) {
     return FailUsage("unknown --inject-bug kind");
+  }
+  // A mutation run must be able to fail: refuse modes that skip the check
+  // catching the injected bug (exec-vs-ref, render-fixpoint or vexec).
+  const bool catchable =
+      (oracle.inject_card_offset != 0 && oracle.check_reference) ||
+      (oracle.inject_render_space && oracle.check_roundtrip) ||
+      (oracle.inject_vexec_bug != vexec::InjectBug::kNone &&
+       oracle.check_vexec);
+  if (!inject.empty() && (service_mode || !catchable)) {
+    const std::string mode =
+        service_mode ? "--service" : "--oracle " + oracle_mode;
+    return FailUsage(("--inject-bug " + inject + " cannot be caught under " +
+                      mode + ": the run could not fail")
+                         .c_str());
   }
 
   // ------------------------------------------------------------ service
@@ -223,7 +258,6 @@ int main(int argc, char** argv) {
   opts.max_failures = max_failures;
   opts.verbose = verbose;
   opts.oracle = oracle;
-  opts.inject_fsm_bug = inject_fsm_bug;
 
   auto stats = RunFuzz(opts);
   if (!stats.ok()) {

@@ -6,10 +6,13 @@
 //   <out>/episodes.jsonl  one row per generation episode (or .csv)
 //
 // plus a terminal summary (metric table + heaviest spans). After a --train
-// run the tool re-reads episodes.jsonl and cross-checks the mean episode
-// reward against the trainer's own per-epoch statistics; a mismatch is a
-// telemetry bug and exits nonzero, which makes the ctest smoke
-// self-checking.
+// run the tool runs two self-checks, each of which exits nonzero on
+// failure, which makes the ctest smoke self-checking:
+//  - span coverage: gen.train's child spans must cover at least 95% of it
+//    (written to summary.json as trace.train_coverage_pct); a shortfall is
+//    a stage nobody can see, to be fixed with a span, never a lower bar;
+//  - reward reconciliation: the mean episode reward re-read from
+//    episodes.jsonl must match the trainer's own per-epoch statistics.
 //
 // Examples:
 //   lsgtrace --train tpch --episodes 200 --out /tmp/t
@@ -17,6 +20,7 @@
 //   lsgtrace --serve tpch --episodes 100 --workers 4
 //   lsgtrace --diff /tmp/a/summary.json /tmp/b/summary.json
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,6 +31,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "fuzz/test_databases.h"
@@ -130,6 +135,42 @@ void PrintFeedbackCacheStats(const FeedbackCache& cache) {
       static_cast<unsigned long long>(s.entries));
 }
 
+/// Minimum share of gen.train that its child spans must cover.
+constexpr double kMinTrainCoveragePct = 95.0;
+
+/// Percentage of the time inside `parent` spans that is also inside some
+/// other span on the same thread nested within it (the union of its
+/// descendants, i.e. of its direct children). Spans carry no parent ids,
+/// so nesting is read from time containment, as trace viewers do. Returns
+/// 0 when no `parent` span was retained.
+double ChildCoveragePct(const std::vector<obs::SpanTracer::Span>& spans,
+                        const char* parent, double* parent_ms) {
+  double parent_ns = 0.0;
+  double covered_ns = 0.0;
+  for (const obs::SpanTracer::Span& p : spans) {
+    if (std::strcmp(p.name, parent) != 0) continue;
+    const uint64_t p_end = p.start_ns + p.duration_ns;
+    std::vector<std::pair<uint64_t, uint64_t>> kids;
+    for (const obs::SpanTracer::Span& c : spans) {
+      if (c.seq == p.seq || c.tid != p.tid) continue;
+      const uint64_t c_end = c.start_ns + c.duration_ns;
+      if (c.start_ns >= p.start_ns && c_end <= p_end) {
+        kids.push_back({c.start_ns, c_end});
+      }
+    }
+    std::sort(kids.begin(), kids.end());
+    uint64_t cur_end = p.start_ns;
+    for (const auto& [b, e] : kids) {
+      const uint64_t from = std::max(b, cur_end);
+      if (e > from) covered_ns += static_cast<double>(e - from);
+      cur_end = std::max(cur_end, e);
+    }
+    parent_ns += static_cast<double>(p.duration_ns);
+  }
+  *parent_ms = parent_ns * 1e-6;
+  return parent_ns > 0.0 ? 100.0 * covered_ns / parent_ns : 0.0;
+}
+
 // Writes the shared artifact bundle and prints the terminal summary.
 bool DumpArtifacts(const std::string& out_dir) {
   obs::MetricsSnapshot snap = obs::MetricsRegistry::Global().Snapshot();
@@ -192,9 +233,20 @@ int RunTrain(const std::string& dataset, const Constraint& constraint,
 
   obs::SetEpisodeSink(nullptr);
   sink.Flush();
+  double train_ms = 0.0;
+  const double coverage = ChildCoveragePct(
+      obs::SpanTracer::Global().Snapshot(), "gen.train", &train_ms);
+  obs::MetricsRegistry::Global()
+      .GetGauge("trace.train_coverage_pct")
+      .Set(coverage);
   bool ok = DumpArtifacts(out_dir);
   std::printf("\nartifacts in %s (%llu episode rows)\n", out_dir.c_str(),
               static_cast<unsigned long long>(sink.rows_written()));
+  const bool covered = coverage >= kMinTrainCoveragePct;
+  std::printf(
+      "span coverage: gen.train %.3f ms, %.1f%% inside child spans "
+      "(need >= %.0f%%) -> %s\n",
+      train_ms, coverage, kMinTrainCoveragePct, covered ? "PASS" : "FAIL");
 
   // Self-check: the sink's view of training must agree with the trainer's.
   // Every epoch trains `batch` episodes, so the mean of the per-epoch
@@ -208,6 +260,7 @@ int RunTrain(const std::string& dataset, const Constraint& constraint,
   trainer_mean /= std::max(1, epochs_seen);
   if (csv) {
     std::printf("self-check skipped (csv mode; rows not re-parsed)\n");
+    if (!covered) return 3;
     return ok ? 0 : 2;
   }
   int rows = 0;
@@ -224,7 +277,7 @@ int RunTrain(const std::string& dataset, const Constraint& constraint,
       "self-check: trainer mean reward %.9g vs episodes.jsonl %.9g over %d "
       "rows -> %s\n",
       trainer_mean, *sink_mean, rows, match ? "PASS" : "FAIL");
-  return match && ok ? 0 : 3;
+  return match && covered && ok ? 0 : 3;
 }
 
 int RunServe(const std::string& dataset, const Constraint& constraint,
