@@ -337,17 +337,19 @@ void BM_PolicyEpisodeWithBackward(benchmark::State& state) {
   GenerationFsm fsm(&f.db, &*f.vocab, QueryProfile());
   for (auto _ : state) {
     fsm.Reset();
-    auto ep = net.BeginEpisode(true);
-    std::vector<double> adv;
+    std::vector<PolicyNetwork::Episode> eps(1, net.BeginEpisode(true));
+    PolicyNetwork::Episode& ep = eps[0];
+    std::vector<std::vector<double>> adv(1);
     while (!fsm.done()) {
-      const auto& probs = net.NextDistribution(&ep, fsm.ValidActions());
-      int a = net.SampleAction(probs, &rng);
+      const PolicyNetwork::CompactDistribution& dist =
+          net.NextDistribution(&ep, fsm.ValidActions());
+      int a = net.SampleAction(dist, &rng);
       net.RecordAction(&ep, a);
       LSG_CHECK_OK(fsm.Step(a));
-      adv.push_back(0.1);
+      adv[0].push_back(0.1);
     }
     (void)fsm.TakeAst();
-    net.AccumulateGradients(ep, adv, 0.01);
+    net.AccumulateGradients(eps, adv, 0.01);
     benchmark::DoNotOptimize(ep.actions.size());
   }
 }

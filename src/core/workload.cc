@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -132,10 +133,18 @@ MetricDomain ProbeMetricDomain(SqlGenEnvironment* env, int samples, Rng* rng,
       const std::vector<uint8_t>& mask = env->ValidActions();
       int chosen = -1;
       int seen = 0;
-      for (size_t i = 0; i < mask.size(); ++i) {
-        if (!mask[i]) continue;
-        ++seen;
-        if (rng->Uniform(seen) == 0) chosen = static_cast<int>(i);
+      // Reservoir-sample one valid action: the seen-th valid entry replaces
+      // the choice with probability 1/seen. ~99% of the mask is zero, so
+      // all-zero 8-byte words are skipped whole; the draws are unchanged.
+      for (size_t i = 0; i < mask.size();) {
+        uint64_t word = 1;
+        if (i + 8 <= mask.size()) std::memcpy(&word, mask.data() + i, 8);
+        if (word == 0) {
+          i += 8;
+          continue;
+        }
+        if (mask[i] && rng->Uniform(++seen) == 0) chosen = static_cast<int>(i);
+        ++i;
       }
       if (chosen < 0) break;
       auto sr = env->Step(chosen);

@@ -20,6 +20,11 @@ void Adam::Step() {
   ++t_;
   const float bc1 = 1.f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.f - std::pow(beta2_, static_cast<float>(t_));
+  // Locals, not members: a store through m/v/w/g could alias a member, and
+  // the reloads would keep the loop scalar. Built with the host's vector
+  // ISA and no contraction (src/CMakeLists.txt), each lane computes the
+  // same IEEE operations as the scalar expression.
+  const float b1 = beta1_, b2 = beta2_, lr = lr_, eps = eps_;
   for (size_t i = 0; i < params_.size(); ++i) {
     ParamTensor* p = params_[i];
     float* w = p->value.data();
@@ -28,11 +33,11 @@ void Adam::Step() {
     float* v = v_[i].data();
     const size_t n = p->value.size();
     for (size_t k = 0; k < n; ++k) {
-      m[k] = beta1_ * m[k] + (1.f - beta1_) * g[k];
-      v[k] = beta2_ * v[k] + (1.f - beta2_) * g[k] * g[k];
+      m[k] = b1 * m[k] + (1.f - b1) * g[k];
+      v[k] = b2 * v[k] + (1.f - b2) * g[k] * g[k];
       const float mhat = m[k] / bc1;
       const float vhat = v[k] / bc2;
-      w[k] -= lr_ * mhat / (std::sqrt(vhat) + eps_);
+      w[k] -= lr * mhat / (std::sqrt(vhat) + eps);
       g[k] = 0.f;
     }
   }

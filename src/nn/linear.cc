@@ -12,17 +12,6 @@ void Linear::Forward(const float* x, float* y) const {
   for (int i = 0; i < w_.value.rows(); ++i) y[i] += b[i];
 }
 
-void Linear::ForwardBatch(const float* x_panel, int batch,
-                          float* y_panel) const {
-  MatMat(w_.value, x_panel, batch, y_panel);
-  const float* b = b_.value.data();
-  const int rows = w_.value.rows();
-  for (int i = 0; i < rows; ++i) {
-    float* ys = y_panel + static_cast<size_t>(i) * batch;
-    for (int bb = 0; bb < batch; ++bb) ys[bb] += b[i];
-  }
-}
-
 void Linear::ForwardRows(const float* x, int x_stride, const int* rows,
                          int nrows, float* y) const {
   const int cols = w_.value.cols();
@@ -40,10 +29,26 @@ void Linear::ForwardRows(const float* x, int x_stride, const int* rows,
 }
 
 void Linear::Backward(const float* x, const float* dy, float* dx_or_null) {
-  OuterAccum(&w_.grad, dy, x);
+  OuterAccumBatch(&w_.grad, dy, &x, 1);
   float* db = b_.grad.data();
   for (int i = 0; i < w_.value.rows(); ++i) db[i] += dy[i];
-  if (dx_or_null != nullptr) MatTVecAccum(w_.value, dy, dx_or_null);
+  if (dx_or_null != nullptr) MatTMatAccum(w_.value, dy, 1, dx_or_null);
+}
+
+void Linear::BackwardRows(const float* x, const int* rows, int nrows,
+                          const float* dy, float* dx) {
+  const int cols = w_.value.cols();
+  float* db = b_.grad.data();
+  for (int k = 0; k < nrows; ++k) {
+    const int i = rows[k];
+    const float g = dy[k];
+    db[i] += g;
+    if (g == 0.f) continue;
+    float* grad_row = w_.grad.data() + static_cast<size_t>(i) * cols;
+    const float* row = w_.value.data() + static_cast<size_t>(i) * cols;
+    for (int j = 0; j < cols; ++j) grad_row[j] += g * x[j];
+    for (int j = 0; j < cols; ++j) dx[j] += row[j] * g;
+  }
 }
 
 }  // namespace lsg

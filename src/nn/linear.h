@@ -18,11 +18,6 @@ class Linear {
   /// y must have room for output_dim floats.
   void Forward(const float* x, float* y) const;
 
-  /// Batched forward over a feature-major activation panel
-  /// (x_panel[j * batch + b], y_panel[i * batch + b]). Every lane is
-  /// bitwise-identical to Forward over its own vector.
-  void ForwardBatch(const float* x_panel, int batch, float* y_panel) const;
-
   /// Sparse-row forward: y[k] = Forward(x)[rows[k]] for each of the nrows
   /// requested output rows, reading x at the given stride (a feature-major
   /// panel column when x_stride > 1, a plain vector at stride 1). Each row
@@ -33,9 +28,18 @@ class Linear {
   void ForwardRows(const float* x, int x_stride, const int* rows, int nrows,
                    float* y) const;
 
-  /// Accumulates parameter gradients and (optionally) input gradients.
-  /// `x` must be the forward input that produced `dy`.
+  /// Accumulates parameter gradients and (optionally) input gradients into
+  /// accumulators that do not hold -0.0 (see MatTMatAccum). `x` must be
+  /// the forward input that produced `dy`.
   void Backward(const float* x, const float* dy, float* dx_or_null);
+
+  /// Sparse-row Backward: dy[k] is the output gradient of row rows[k]
+  /// (ascending), every other row's being zero. Accumulates parameter
+  /// gradients and dx += W^T dy over the listed rows only, bitwise equal to
+  /// Backward over the full zero-filled dy (a zero row adds nothing to
+  /// accumulators that start at +0, and Backward skips it anyway).
+  void BackwardRows(const float* x, const int* rows, int nrows,
+                    const float* dy, float* dx);
 
   std::vector<ParamTensor*> Params() { return {&w_, &b_}; }
   std::vector<const ParamTensor*> Params() const { return {&w_, &b_}; }

@@ -1,5 +1,6 @@
 #include "nn/lstm.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
@@ -124,36 +125,68 @@ void LstmCell::Backward(const Cache& cache, const float* dh, const float* dc,
                         float* dh_prev, float* dc_prev, float* dx_or_null) {
   const int h = hidden_dim_;
   std::vector<float> dpre(4 * h);
-  for (int k = 0; k < h; ++k) {
-    const float tc = std::tanh(cache.c[k]);
-    const float do_ = dh[k] * tc;
-    const float dck = dc[k] + dh[k] * cache.o[k] * (1.f - tc * tc);
-    const float di = dck * cache.g[k];
-    const float df = dck * cache.c_prev[k];
-    const float dg = dck * cache.i[k];
-    dc_prev[k] = dck * cache.f[k];
-    dpre[k] = di * cache.i[k] * (1.f - cache.i[k]);
-    dpre[h + k] = df * cache.f[k] * (1.f - cache.f[k]);
-    dpre[2 * h + k] = dg * (1.f - cache.g[k] * cache.g[k]);
-    dpre[3 * h + k] = do_ * cache.o[k] * (1.f - cache.o[k]);
+  std::copy(dc, dc + h, dc_prev);
+  std::fill(dh_prev, dh_prev + h, 0.f);
+  const Cache* c = &cache;
+  // The one-hot input's gradient is never read (tokens are not learnable).
+  BackwardBatch(&c, 1, dh, dc_prev, dpre.data(), dh_prev,
+                cache.onehot >= 0 ? nullptr : dx_or_null);
+  AccumulateParamGrads(dpre.data(), &c, 1);
+}
+
+void LstmCell::BackwardBatch(const Cache* const* caches, int batch,
+                             const float* dh, float* dc, float* dpre,
+                             float* dh_prev, float* dx_or_null) const {
+  const int h = hidden_dim_;
+  const size_t gate = static_cast<size_t>(h) * batch;  // one gate's rows
+  std::fill(dpre, dpre + 4 * gate, 0.f);
+  for (int b = 0; b < batch; ++b) {
+    if (caches[b] == nullptr) continue;
+    const Cache& cache = *caches[b];
+    for (int k = 0; k < h; ++k) {
+      const size_t at = static_cast<size_t>(k) * batch + b;
+      const float tc = std::tanh(cache.c[k]);
+      const float do_ = dh[at] * tc;
+      const float dck = dc[at] + dh[at] * cache.o[k] * (1.f - tc * tc);
+      const float di = dck * cache.g[k];
+      const float df = dck * cache.c_prev[k];
+      const float dg = dck * cache.i[k];
+      dc[at] = dck * cache.f[k];
+      dpre[at] = di * cache.i[k] * (1.f - cache.i[k]);
+      dpre[at + gate] = df * cache.f[k] * (1.f - cache.f[k]);
+      dpre[at + 2 * gate] = dg * (1.f - cache.g[k] * cache.g[k]);
+      dpre[at + 3 * gate] = do_ * cache.o[k] * (1.f - cache.o[k]);
+    }
   }
-  // Parameter gradients.
-  if (cache.onehot >= 0) {
-    for (int k = 0; k < 4 * h; ++k) {
-      wx_.grad.at(k, cache.onehot) += dpre[k];
+  MatTMatAccum(wh_.value, dpre, batch, dh_prev);
+  if (dx_or_null != nullptr) MatTMatAccum(wx_.value, dpre, batch, dx_or_null);
+}
+
+void LstmCell::AccumulateParamGrads(const float* dpre_t,
+                                    const Cache* const* caches, int n) {
+  const int rows = 4 * hidden_dim_;
+  if (caches[0]->onehot >= 0) {
+    // Wx * e_idx touched one column: scatter each step's dpre into it.
+    for (int k = 0; k < n; ++k) {
+      LSG_DCHECK(caches[k]->onehot >= 0);
+      for (int r = 0; r < rows; ++r) {
+        wx_.grad.at(r, caches[k]->onehot) +=
+            dpre_t[static_cast<size_t>(r) * n + k];
+      }
     }
   } else {
-    OuterAccum(&wx_.grad, dpre.data(), cache.x.data());
-    if (dx_or_null != nullptr) {
-      MatTVecAccum(wx_.value, dpre.data(), dx_or_null);
-    }
+    std::vector<const float*> x(n);
+    for (int k = 0; k < n; ++k) x[k] = caches[k]->x.data();
+    OuterAccumBatch(&wx_.grad, dpre_t, x.data(), n);
   }
-  OuterAccum(&wh_.grad, dpre.data(), cache.h_prev.data());
+  std::vector<const float*> h_prev(n);
+  for (int k = 0; k < n; ++k) h_prev[k] = caches[k]->h_prev.data();
+  OuterAccumBatch(&wh_.grad, dpre_t, h_prev.data(), n);
   float* db = b_.grad.data();
-  for (int k = 0; k < 4 * h; ++k) db[k] += dpre[k];
-  // Recurrent gradient.
-  for (int k = 0; k < h; ++k) dh_prev[k] = 0.f;
-  MatTVecAccum(wh_.value, dpre.data(), dh_prev);
+  for (int r = 0; r < rows; ++r) {
+    const float* terms = dpre_t + static_cast<size_t>(r) * n;
+    for (int k = 0; k < n; ++k) db[r] += terms[k];
+  }
 }
 
 LstmStack::LstmStack(int input_dim, int hidden_dim, int num_layers,
@@ -261,43 +294,76 @@ void LstmStack::StepBatch(const int* tokens, State* const* states, int batch,
   *top_h_panel = std::move(input);
 }
 
-void LstmStack::Backward(const std::vector<StepCache>& caches,
-                         const std::vector<std::vector<float>>& dtop) {
-  LSG_CHECK(caches.size() == dtop.size());
+void LstmStack::Backward(const std::vector<BpttLane>& lanes) {
   const int L = static_cast<int>(cells_.size());
-  const int T = static_cast<int>(caches.size());
-  // Gradients flowing backward in time, per layer.
-  std::vector<std::vector<float>> dh_time(L, std::vector<float>(hidden_dim_, 0.f));
-  std::vector<std::vector<float>> dc_time(L, std::vector<float>(hidden_dim_, 0.f));
-  std::vector<float> dh(hidden_dim_);
-  std::vector<float> dh_prev(hidden_dim_);
-  std::vector<float> dc_prev(hidden_dim_);
-  std::vector<float> dx(hidden_dim_);
+  const int H = hidden_dim_;
+  const int B = static_cast<int>(lanes.size());
+  // Deferred weight-gradient terms: column offset[b] + s holds lane b's
+  // slice s (step len[b]-1-s), so columns run episode-major in `lanes`
+  // order, each episode from its last step to its first.
+  std::vector<int> len(B), offset(B);
+  int n = 0, slices = 0;
+  for (int b = 0; b < B; ++b) {
+    len[b] = static_cast<int>(lanes[b].caches->size());
+    LSG_CHECK(lanes[b].dtop->size() == static_cast<size_t>(len[b]) * H);
+    offset[b] = n;
+    n += len[b];
+    slices = std::max(slices, len[b]);
+  }
+  if (n == 0) return;
+  std::vector<std::vector<float>> terms(
+      L, std::vector<float>(static_cast<size_t>(4 * H) * n));
+  std::vector<std::vector<const LstmCell::Cache*>> term_cache(
+      L, std::vector<const LstmCell::Cache*>(n));
 
-  for (int t = T - 1; t >= 0; --t) {
-    std::vector<float> from_above;  // dx of the layer above at this step
+  // Feature-major lane panels: the gradient flowing back in time into each
+  // layer's h and c, and this slice's scratch.
+  const size_t panel = static_cast<size_t>(H) * B;
+  std::vector<std::vector<float>> dh_time(L, std::vector<float>(panel, 0.f));
+  std::vector<std::vector<float>> dc_time(L, std::vector<float>(panel, 0.f));
+  std::vector<float> dh(panel), dx(panel), dpre(4 * panel);
+  std::vector<const LstmCell::Cache*> slice(B);
+  for (int s = 0; s < slices; ++s) {
     for (int l = L - 1; l >= 0; --l) {
-      // Gradient into this layer's h at step t.
-      for (int k = 0; k < hidden_dim_; ++k) dh[k] = dh_time[l][k];
-      if (l == L - 1) {
-        for (int k = 0; k < hidden_dim_; ++k) dh[k] += dtop[t][k];
-      } else {
-        // Input gradient of layer l+1 passes through its dropout mask.
-        const std::vector<float>& mask = caches[t].dropout_mask[l + 1];
-        for (int k = 0; k < hidden_dim_; ++k) {
-          float g = from_above[k];
-          if (!mask.empty()) g *= mask[k];
-          dh[k] += g;
+      // Gradient into this layer's h at each unfinished lane's step.
+      for (int b = 0; b < B; ++b) {
+        slice[b] = nullptr;
+        const int t = len[b] - 1 - s;
+        if (t < 0) continue;
+        const StepCache& sc = (*lanes[b].caches)[t];
+        slice[b] = &sc.layers[l];
+        for (int k = 0; k < H; ++k) {
+          const size_t at = static_cast<size_t>(k) * B + b;
+          dh[at] = dh_time[l][at];
+          if (l == L - 1) {
+            dh[at] += (*lanes[b].dtop)[static_cast<size_t>(t) * H + k];
+          } else {
+            // Input gradient of layer l+1 passes through its dropout mask.
+            const std::vector<float>& mask = sc.dropout_mask[l + 1];
+            float g = dx[at];
+            if (!mask.empty()) g *= mask[k];
+            dh[at] += g;
+          }
+          dh_time[l][at] = 0.f;
+          if (l > 0) dx[at] = 0.f;
         }
       }
-      std::fill(dx.begin(), dx.end(), 0.f);
-      cells_[l].Backward(caches[t].layers[l], dh.data(), dc_time[l].data(),
-                         dh_prev.data(), dc_prev.data(),
-                         l > 0 ? dx.data() : nullptr);
-      dh_time[l] = dh_prev;
-      dc_time[l] = dc_prev;
-      from_above = dx;
+      cells_[l].BackwardBatch(slice.data(), B, dh.data(), dc_time[l].data(),
+                              dpre.data(), dh_time[l].data(),
+                              l > 0 ? dx.data() : nullptr);
+      for (int b = 0; b < B; ++b) {
+        if (slice[b] == nullptr) continue;
+        const int col = offset[b] + s;
+        term_cache[l][col] = slice[b];
+        for (int r = 0; r < 4 * H; ++r) {
+          terms[l][static_cast<size_t>(r) * n + col] =
+              dpre[static_cast<size_t>(r) * B + b];
+        }
+      }
     }
+  }
+  for (int l = 0; l < L; ++l) {
+    cells_[l].AccumulateParamGrads(terms[l].data(), term_cache[l].data(), n);
   }
 }
 

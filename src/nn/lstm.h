@@ -51,9 +51,29 @@ class LstmCell {
   /// Backward through one step. `dh`/`dc` are gradients flowing into this
   /// step's outputs; `dh_prev`/`dc_prev` receive (overwrite) gradients for
   /// the previous step; `dx_or_null` accumulates input gradients (skipped
-  /// for one-hot inputs — tokens are not learnable).
+  /// for one-hot inputs — tokens are not learnable). The one-lane case of
+  /// BackwardBatch + AccumulateParamGrads.
   void Backward(const Cache& cache, const float* dh, const float* dc,
                 float* dh_prev, float* dc_prev, float* dx_or_null);
+
+  /// One backward time slice over `batch` lanes of feature-major panels
+  /// (the MatMat layout); caches[b] is lane b's forward cache, or null for
+  /// a finished lane. Reads dh (H x batch); `dc` (H x batch) holds the
+  /// gradient into each lane's c and is overwritten with dc_prev. Writes
+  /// dpre (4H x batch, the pre-activation gradient; zero for a finished
+  /// lane) and accumulates W_h^T·dpre into dh_prev (H x batch) and, when
+  /// non-null, W_x^T·dpre into dx (In x batch). Parameter gradients are
+  /// left to AccumulateParamGrads. Per lane bitwise-equal to Backward.
+  void BackwardBatch(const Cache* const* caches, int batch, const float* dh,
+                     float* dc, float* dpre, float* dh_prev,
+                     float* dx_or_null) const;
+
+  /// Adds the parameter gradients of n backward steps in ascending k:
+  /// dpre_t is 4H x n row-major (column k is step k's dpre), caches[k] the
+  /// step's forward cache. Each element receives its terms in the same
+  /// order as n successive Backward calls.
+  void AccumulateParamGrads(const float* dpre_t, const Cache* const* caches,
+                            int n);
 
   std::vector<ParamTensor*> Params() { return {&wx_, &wh_, &b_}; }
   std::vector<const ParamTensor*> Params() const { return {&wx_, &wh_, &b_}; }
@@ -114,10 +134,23 @@ class LstmStack {
   void StepBatch(const int* tokens, State* const* states, int batch,
                  std::vector<float>* top_h_panel) const;
 
-  /// Backpropagation through time over a full episode. `dtop[t]` is the
-  /// loss gradient w.r.t. the top-layer hidden state after step t.
-  void Backward(const std::vector<StepCache>& caches,
-                const std::vector<std::vector<float>>& dtop);
+  /// One finished episode's BPTT inputs: its step caches and dtop, the
+  /// loss gradient w.r.t. the top-layer hidden state after each step
+  /// (T x hidden_dim row-major, row t for step t).
+  struct BpttLane {
+    const std::vector<StepCache>* caches;
+    const std::vector<float>* dtop;
+  };
+
+  /// Backpropagation through time over a batch of finished episodes, run
+  /// side by side: each time slice takes every lane one step back (ragged
+  /// lengths, aligned at their last step; a finished lane rides along with
+  /// a zero gradient) through one lane-batched W^T·dpre per matrix. Each
+  /// lane's arithmetic is that of a lone episode. The weight gradients are
+  /// deferred to one pass per tensor that adds each element's terms
+  /// episode after episode (in `lanes` order), and within an episode from
+  /// the last step to the first, as one episode at a time would.
+  void Backward(const std::vector<BpttLane>& lanes);
 
   std::vector<ParamTensor*> Params();
   std::vector<const ParamTensor*> Params() const;

@@ -1,7 +1,9 @@
 #include "nn/matrix.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -139,81 +141,148 @@ void MatMatAccum(const Matrix& w, const float* x_panel, int batch,
   MatMatImpl<true>(w, x_panel, batch, y_panel);
 }
 
-void MatTVecAccum(const Matrix& w, const float* dy, float* dx) {
-  const int r = w.rows();
-  const int c = w.cols();
+namespace {
+
+// Where a dy entry is ±0 its product is replaced by +0 through a bit mask,
+// which vectorizes where a branch or a select does not. Adding +0 leaves
+// an accumulator that is not -0 unchanged, so this is a scalar loop's
+// `if (dy == 0) continue;`, even where the other factor is non-finite and
+// the product would be NaN.
+inline uint32_t KeepMask(float dy) {
+  return (std::bit_cast<uint32_t>(dy) << 1) != 0 ? ~0u : 0u;
+}
+
+inline float MaskedProduct(float a, float dy, uint32_t keep) {
+  return std::bit_cast<float>(std::bit_cast<uint32_t>(a * dy) & keep);
+}
+
+// Register tile of MatTMatAccum: kJ output features x kW lanes, live
+// across the ascending row sweep. The kJ independent add chains per lane
+// hide the add latency; each lane's dy row slice is loaded once per row.
+template <int kJ, int kW>
+void MatTMatTile(const float* wd, int rows, int cols, int j0,
+                 const float* dy, int batch, int b0, float* dx) {
+  float acc[kJ][kW];
+#pragma GCC unroll 4
+  for (int jj = 0; jj < kJ; ++jj) {
+    const float* xs = dx + static_cast<size_t>(j0 + jj) * batch + b0;
+#pragma GCC unroll 16
+    for (int bb = 0; bb < kW; ++bb) acc[jj][bb] = xs[bb];
+  }
+  for (int i = 0; i < rows; ++i) {
+    const float* w = wd + static_cast<size_t>(i) * cols + j0;
+    const float* gs = dy + static_cast<size_t>(i) * batch + b0;
+    uint32_t keep[kW];
+#pragma GCC unroll 16
+    for (int bb = 0; bb < kW; ++bb) keep[bb] = KeepMask(gs[bb]);
+#pragma GCC unroll 4
+    for (int jj = 0; jj < kJ; ++jj) {
+#pragma GCC unroll 16
+      for (int bb = 0; bb < kW; ++bb) {
+        acc[jj][bb] += MaskedProduct(w[jj], gs[bb], keep[bb]);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int jj = 0; jj < kJ; ++jj) {
+    float* xs = dx + static_cast<size_t>(j0 + jj) * batch + b0;
+#pragma GCC unroll 16
+    for (int bb = 0; bb < kW; ++bb) xs[bb] = acc[jj][bb];
+  }
+}
+
+template <int kW>
+void MatTMatLanes(const float* wd, int rows, int cols, const float* dy,
+                  int batch, int b0, float* dx) {
+  int j0 = 0;
+  for (; j0 + 4 <= cols; j0 += 4) {
+    MatTMatTile<4, kW>(wd, rows, cols, j0, dy, batch, b0, dx);
+  }
+  for (; j0 < cols; ++j0) {
+    MatTMatTile<1, kW>(wd, rows, cols, j0, dy, batch, b0, dx);
+  }
+}
+
+// Register tile of OuterAccumBatch: kI rows x kW columns, live across the
+// k sweep; x_k's column slice is loaded once per k for all kI rows.
+template <int kI, int kW>
+void OuterAccumTile(float* wd, int cols, int i0, int j0, const float* dy_t,
+                    const float* const* x, int n) {
+  float acc[kI][kW];
+#pragma GCC unroll 4
+  for (int ii = 0; ii < kI; ++ii) {
+    const float* row = wd + static_cast<size_t>(i0 + ii) * cols + j0;
+#pragma GCC unroll 16
+    for (int jj = 0; jj < kW; ++jj) acc[ii][jj] = row[jj];
+  }
+  for (int k = 0; k < n; ++k) {
+    const float* xs = x[k] + j0;
+#pragma GCC unroll 4
+    for (int ii = 0; ii < kI; ++ii) {
+      const float g = dy_t[static_cast<size_t>(i0 + ii) * n + k];
+      const uint32_t keep = KeepMask(g);
+#pragma GCC unroll 16
+      for (int jj = 0; jj < kW; ++jj) {
+        acc[ii][jj] += MaskedProduct(xs[jj], g, keep);
+      }
+    }
+  }
+#pragma GCC unroll 4
+  for (int ii = 0; ii < kI; ++ii) {
+    float* row = wd + static_cast<size_t>(i0 + ii) * cols + j0;
+#pragma GCC unroll 16
+    for (int jj = 0; jj < kW; ++jj) row[jj] = acc[ii][jj];
+  }
+}
+
+template <int kI>
+void OuterAccumRows(float* wd, int cols, int i0, const float* dy_t,
+                    const float* const* x, int n) {
+  int j0 = 0;
+  for (; j0 + kLaneBlock <= cols; j0 += kLaneBlock) {
+    OuterAccumTile<kI, kLaneBlock>(wd, cols, i0, j0, dy_t, x, n);
+  }
+  if (j0 + 8 <= cols) {
+    OuterAccumTile<kI, 8>(wd, cols, i0, j0, dy_t, x, n);
+    j0 += 8;
+  }
+  if (j0 + 4 <= cols) {
+    OuterAccumTile<kI, 4>(wd, cols, i0, j0, dy_t, x, n);
+    j0 += 4;
+  }
+  if (j0 + 2 <= cols) {
+    OuterAccumTile<kI, 2>(wd, cols, i0, j0, dy_t, x, n);
+    j0 += 2;
+  }
+  if (j0 < cols) OuterAccumTile<kI, 1>(wd, cols, i0, j0, dy_t, x, n);
+}
+
+}  // namespace
+
+void MatTMatAccum(const Matrix& w, const float* dy_panel, int batch,
+                  float* dx_panel) {
   const float* wd = w.data();
-  for (int i = 0; i < r; ++i) {
-    const float g = dy[i];
-    if (g == 0.f) continue;
-    const float* row = wd + static_cast<size_t>(i) * c;
-    for (int j = 0; j < c; ++j) dx[j] += row[j] * g;
+  const int rows = w.rows();
+  const int cols = w.cols();
+  // Eight-lane tiles (the default training batch is one), then single
+  // lanes, whose four column chains still hide the add latency.
+  int b0 = 0;
+  for (; b0 + 8 <= batch; b0 += 8) {
+    MatTMatLanes<8>(wd, rows, cols, dy_panel, batch, b0, dx_panel);
+  }
+  for (; b0 < batch; ++b0) {
+    MatTMatLanes<1>(wd, rows, cols, dy_panel, batch, b0, dx_panel);
   }
 }
 
-void OuterAccum(Matrix* dw, const float* dy, const float* x) {
-  const int r = dw->rows();
-  const int c = dw->cols();
+void OuterAccumBatch(Matrix* dw, const float* dy_t, const float* const* x,
+                     int n) {
   float* wd = dw->data();
-  for (int i = 0; i < r; ++i) {
-    const float g = dy[i];
-    if (g == 0.f) continue;
-    float* row = wd + static_cast<size_t>(i) * c;
-    for (int j = 0; j < c; ++j) row[j] += g * x[j];
-  }
-}
-
-void SoftmaxInPlace(std::vector<float>* v) {
-  float mx = -1e30f;
-  for (float x : *v) mx = std::max(mx, x);
-  double sum = 0.0;
-  for (float& x : *v) {
-    x = std::exp(x - mx);
-    sum += x;
-  }
-  LSG_CHECK(sum > 0.0);
-  for (float& x : *v) x = static_cast<float>(x / sum);
-}
-
-void MaskedSoftmaxInPlace(std::vector<float>* v,
-                          const std::vector<uint8_t>& mask) {
-  Status st = TryMaskedSoftmaxInPlace(v, mask);
-  LSG_CHECK(st.ok()) << st.ToString();
-}
-
-Status TryMaskedSoftmaxInPlace(std::vector<float>* v,
-                               const std::vector<uint8_t>& mask) {
-  LSG_CHECK(v->size() == mask.size());
-  float mx = -1e30f;
-  bool any = false;
-  for (size_t i = 0; i < v->size(); ++i) {
-    if (mask[i]) {
-      mx = std::max(mx, (*v)[i]);
-      any = true;
-    }
-  }
-  if (!any) return Status::Internal("masked softmax with empty mask");
-  double sum = 0.0;
-  for (size_t i = 0; i < v->size(); ++i) {
-    if (mask[i]) {
-      (*v)[i] = std::exp((*v)[i] - mx);
-      sum += (*v)[i];
-    } else {
-      (*v)[i] = 0.f;
-    }
-  }
-  // An all--inf masked row makes mx = -inf, every exp(x - mx) NaN and the
-  // partition sum NaN; a single -inf with mx finite can still underflow the
-  // sum to zero. Either way dividing would poison the distribution, so the
-  // serving path gets a structured error instead of a crash.
-  if (!(sum > 0.0) || !std::isfinite(sum)) {
-    return Status::Internal("masked softmax with degenerate logits (sum=" +
-                            std::to_string(sum) + ")");
-  }
-  for (size_t i = 0; i < v->size(); ++i) {
-    (*v)[i] = static_cast<float>((*v)[i] / sum);
-  }
-  return Status::Ok();
+  const int rows = dw->rows();
+  const int cols = dw->cols();
+  int i0 = 0;
+  for (; i0 + 4 <= rows; i0 += 4) OuterAccumRows<4>(wd, cols, i0, dy_t, x, n);
+  for (; i0 < rows; ++i0) OuterAccumRows<1>(wd, cols, i0, dy_t, x, n);
 }
 
 Status TryCompactSoftmaxInPlace(float* v, size_t n) {
@@ -225,7 +294,10 @@ Status TryCompactSoftmaxInPlace(float* v, size_t n) {
     v[i] = std::exp(v[i] - mx);
     sum += v[i];
   }
-  // Same degenerate-row contract as TryMaskedSoftmaxInPlace (see there).
+  // An all--inf row makes mx = -inf, every exp(x - mx) NaN and the
+  // partition sum NaN; a single -inf with mx finite can still underflow the
+  // sum to zero. Either way dividing would poison the distribution, so the
+  // caller gets a structured error instead of a crash.
   if (!(sum > 0.0) || !std::isfinite(sum)) {
     return Status::Internal("masked softmax with degenerate logits (sum=" +
                             std::to_string(sum) + ")");
@@ -253,10 +325,24 @@ bool ParamSnapshot::Restore(const std::vector<ParamTensor*>& params) const {
 }
 
 double ClipGradNorm(const std::vector<ParamTensor*>& params, double max_norm) {
+  constexpr size_t kBlock = 16;
   double sq = 0.0;
   for (const ParamTensor* p : params) {
     const float* g = p->grad.data();
-    for (size_t i = 0; i < p->grad.size(); ++i) {
+    const size_t n = p->grad.size();
+    size_t i0 = 0;
+    for (; i0 + kBlock <= n; i0 += kBlock) {
+      uint32_t bits = 0;  // all but the sign: 0 only if every entry is ±0
+#pragma GCC unroll 16
+      for (size_t i = 0; i < kBlock; ++i) {
+        bits |= std::bit_cast<uint32_t>(g[i0 + i]) << 1;
+      }
+      if (bits == 0) continue;
+      for (size_t i = i0; i < i0 + kBlock; ++i) {
+        sq += static_cast<double>(g[i]) * static_cast<double>(g[i]);
+      }
+    }
+    for (size_t i = i0; i < n; ++i) {
       sq += static_cast<double>(g[i]) * static_cast<double>(g[i]);
     }
   }

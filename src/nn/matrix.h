@@ -78,38 +78,39 @@ void MatMat(const Matrix& w, const float* x_panel, int batch, float* y_panel);
 void MatMatAccum(const Matrix& w, const float* x_panel, int batch,
                  float* y_panel);
 
-/// dx += W^T dy.
-void MatTVecAccum(const Matrix& w, const float* dy, float* dx);
+/// dX += W^T dY over a feature-major lane panel (the MatMat layout):
+/// dy_panel is (rows x batch) and dx_panel is (cols x batch). Each lane
+/// sums dx[j] += w[i][j] * dy[i] in ascending row order i and skips the
+/// rows where its dy entry is zero (a lane whose dy column is all zero is
+/// left unchanged). The skip is exact provided no dx entry holds -0.0,
+/// and sums that start at +0 never reach -0. batch == 1 is a plain vector.
+void MatTMatAccum(const Matrix& w, const float* dy_panel, int batch,
+                  float* dx_panel);
 
-/// dW += dy x^T (outer product accumulate).
-void OuterAccum(Matrix* dw, const float* dy, const float* x);
+/// dW += Σ_k dy_k x_k^T over k = 0..n-1 (n == 1 is one outer product):
+/// dy_t is (rows x n) row-major (column k is dy_k) and x[k] points at x_k.
+/// Each element adds its terms in ascending k and skips zero dy entries,
+/// exactly as n separate outer-product updates would, provided no dw
+/// entry holds -0.0 (gradients start at +0 and so never reach -0). The
+/// element stays in a register across the k sweep instead of a load and
+/// store per term.
+void OuterAccumBatch(Matrix* dw, const float* dy_t, const float* const* x,
+                     int n);
 
-/// Numerically stable in-place softmax.
-void SoftmaxInPlace(std::vector<float>* v);
-
-/// Masked softmax: entries with mask==0 get probability 0. Requires at
-/// least one unmasked entry and a non-degenerate row; aborts otherwise.
-void MaskedSoftmaxInPlace(std::vector<float>* v,
-                          const std::vector<uint8_t>& mask);
-
-/// Non-aborting masked softmax for the serving path: an empty mask or a
-/// degenerate logit row (all masked entries -inf / overflowed, so the
-/// partition sum is zero or non-finite) comes back as kInternal instead of
-/// taking the whole process down. On success the result is bitwise
-/// identical to MaskedSoftmaxInPlace; on error `v` is left unspecified.
-Status TryMaskedSoftmaxInPlace(std::vector<float>* v,
-                               const std::vector<uint8_t>& mask);
-
-/// TryMaskedSoftmaxInPlace over an already-compacted logit span: `v` holds
-/// only the masked entries, in ascending index order. The max / exp /
-/// partition-sum / divide sequence touches the same values in the same
-/// order as the masked form (unmasked entries there are exact zeros that
-/// never enter the sums), so the resulting probabilities and the Status on
-/// degenerate rows are bitwise-identical. n == 0 is the empty-mask error.
+/// Non-aborting softmax over an already-compacted logit span: `v` holds
+/// only the FSM-valid entries of a logit row, in ascending index order. A
+/// masked-out entry of the full row would be an exact zero that never
+/// enters the max or the partition sum, so this is the whole masked
+/// softmax. n == 0 (an empty mask) and a degenerate row (all entries -inf
+/// or overflowed, so the partition sum is zero or non-finite) come back as
+/// kInternal instead of taking the process down; `v` is then unspecified.
 Status TryCompactSoftmaxInPlace(float* v, size_t n);
 
 /// Rescales all gradients so their global L2 norm is at most max_norm.
-/// Returns the pre-clip norm.
+/// Returns the pre-clip norm. The squares are summed in one ascending
+/// double sweep that skips 16-float blocks whose entries are all ±0: exact,
+/// because each such square is +0 and the sum starts at +0. Most of a
+/// one-hot input matrix's gradient is such blocks.
 double ClipGradNorm(const std::vector<ParamTensor*>& params, double max_norm);
 
 /// In-memory checkpoint of a parameter set (keep-best-policy snapshots).

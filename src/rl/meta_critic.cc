@@ -82,7 +82,7 @@ void MetaCritic::AccumulateGradients(const Episode& ep,
   const int Z = options_.encoder_dim;
   const int E = options_.action_embed_dim;
 
-  std::vector<std::vector<float>> dtop(T, std::vector<float>(H, 0.f));
+  std::vector<float> dtop(T * H, 0.f);  // row t: ∂L/∂h_top after step t
   // dz_ext[k]: gradient flowing into the encoder hidden state after triple
   // k-1 has been consumed (i.e. z_t for t = k). z_0 uses the zero initial
   // state, so its gradient is dropped.
@@ -100,12 +100,12 @@ void MetaCritic::AccumulateGradients(const Episode& ep,
     }
     std::fill(dfuse_in.begin(), dfuse_in.end(), 0.f);
     fuse1_.Backward(ep.fuse_in[t].data(), dmid.data(), dfuse_in.data());
-    for (int i = 0; i < H; ++i) dtop[t][i] = dfuse_in[i];
+    for (int i = 0; i < H; ++i) dtop[t * H + i] = dfuse_in[i];
     for (int i = 0; i < Z; ++i) dz_ext[t][i] = dfuse_in[H + i];
   }
 
   // State path BPTT.
-  state_lstm_.Backward(ep.state_caches, dtop);
+  state_lstm_.Backward({{&ep.state_caches, &dtop}});
 
   // Encoder BPTT: the hidden state after triple k is z_{k+1}; it receives
   // dz_ext[k+1] (if any value step consumed it) plus the recurrent flow.

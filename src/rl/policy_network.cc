@@ -21,9 +21,9 @@ PolicyNetwork::Episode PolicyNetwork::BeginEpisode(bool train) const {
   return ep;
 }
 
-const std::vector<float>& PolicyNetwork::NextDistribution(
+const PolicyNetwork::CompactDistribution& PolicyNetwork::NextDistribution(
     Episode* ep, const std::vector<uint8_t>& mask) {
-  const std::vector<float>* out = nullptr;
+  const CompactDistribution* out = nullptr;
   Status st = TryNextDistribution(ep, mask, &out);
   LSG_CHECK(st.ok()) << st.ToString();
   return *out;
@@ -31,7 +31,7 @@ const std::vector<float>& PolicyNetwork::NextDistribution(
 
 Status PolicyNetwork::TryNextDistribution(Episode* ep,
                                           const std::vector<uint8_t>& mask,
-                                          const std::vector<float>** out) {
+                                          const CompactDistribution** out) {
   const int prev =
       ep->actions.empty() ? bos_index() : ep->actions.back();
   LstmStack::StepCache* cache = nullptr;
@@ -52,12 +52,17 @@ Status PolicyNetwork::TryNextDistribution(Episode* ep,
   } else {
     top = &lstm_.Step(prev, &ep->state, cache, ep->train, &rng_);
   }
-  std::vector<float> logits(vocab_size_);
-  head_.Forward(top->data(), logits.data());
-  LSG_RETURN_IF_ERROR(TryMaskedSoftmaxInPlace(&logits, mask));
-  ep->probs.push_back(std::move(logits));
-  ep->masks.push_back(mask);
-  *out = &ep->probs.back();
+  LSG_CHECK(static_cast<int>(mask.size()) == vocab_size_);
+  CompactDistribution& d = ep->dists.emplace_back();
+  for (int i = 0; i < vocab_size_; ++i) {
+    if (mask[i]) d.idx.push_back(i);
+  }
+  d.probs.resize(d.idx.size());
+  head_.ForwardRows(top->data(), 1, d.idx.data(),
+                    static_cast<int>(d.idx.size()), d.probs.data());
+  LSG_RETURN_IF_ERROR(
+      TryCompactSoftmaxInPlace(d.probs.data(), d.probs.size()));
+  *out = &d;
   return Status::Ok();
 }
 
@@ -102,92 +107,82 @@ void PolicyNetwork::NextDistributionBatch(
   }
 }
 
-int PolicyNetwork::SampleAction(const std::vector<float>& probs,
-                                Rng* rng) const {
-  size_t idx = rng->Categorical(probs.data(), probs.size());
-  if (idx >= probs.size()) {
-    // All-zero guard (cannot happen with a valid mask): fall back to argmax.
-    return GreedyAction(probs);
-  }
-  return static_cast<int>(idx);
-}
-
 int PolicyNetwork::SampleAction(const CompactDistribution& d,
                                 Rng* rng) const {
   size_t k = rng->Categorical(d.probs.data(), d.probs.size());
   if (k >= d.probs.size()) {
-    // All-zero guard, mirroring the full-vocabulary fallback (unreachable
-    // after a successful softmax): greedy over the compact support.
-    size_t best = 0;
-    for (size_t i = 1; i < d.probs.size(); ++i) {
-      if (d.probs[i] > d.probs[best]) best = i;
-    }
-    k = best;
+    // All-zero guard (unreachable after a successful softmax).
+    return GreedyAction(d);
   }
   return d.idx[k];
 }
 
-int PolicyNetwork::GreedyAction(const std::vector<float>& probs) const {
-  int best = 0;
-  for (size_t i = 1; i < probs.size(); ++i) {
-    if (probs[i] > probs[best]) best = static_cast<int>(i);
+int PolicyNetwork::GreedyAction(const CompactDistribution& d) const {
+  size_t best = 0;
+  for (size_t i = 1; i < d.probs.size(); ++i) {
+    if (d.probs[i] > d.probs[best]) best = i;
   }
-  return best;
+  return d.idx[best];
 }
 
-void PolicyNetwork::AccumulateGradients(const Episode& ep,
-                                        const std::vector<double>& advantages,
-                                        double entropy_coef) {
-  LSG_CHECK(ep.train);
-  const size_t T = ep.actions.size();
-  LSG_CHECK(advantages.size() == T);
-  LSG_CHECK(ep.caches.size() == T && ep.probs.size() == T);
+void PolicyNetwork::AccumulateGradients(
+    const std::vector<Episode>& episodes,
+    const std::vector<std::vector<double>>& advantages, double entropy_coef) {
+  LSG_CHECK(advantages.size() == episodes.size());
+  const int H = options_.hidden_dim;
+  std::vector<std::vector<float>> dtop(episodes.size());
+  std::vector<LstmStack::BpttLane> lanes;
+  std::vector<float> dlogits;
+  for (size_t b = 0; b < episodes.size(); ++b) {
+    const Episode& ep = episodes[b];
+    LSG_CHECK(ep.train);
+    const size_t T = ep.actions.size();
+    LSG_CHECK(advantages[b].size() == T);
+    LSG_CHECK(ep.caches.size() == T && ep.dists.size() == T);
+    dtop[b].assign(T * H, 0.f);
+    for (size_t t = 0; t < T; ++t) {
+      const CompactDistribution& d = ep.dists[t];
+      const int a = ep.actions[t];
+      const float adv = static_cast<float>(advantages[b][t]);
 
-  std::vector<std::vector<float>> dtop(
-      T, std::vector<float>(options_.hidden_dim, 0.f));
-  std::vector<float> dlogits(vocab_size_);
-  for (size_t t = 0; t < T; ++t) {
-    const std::vector<float>& p = ep.probs[t];
-    const std::vector<uint8_t>& mask = ep.masks[t];
-    const int a = ep.actions[t];
-    const float adv = static_cast<float>(advantages[t]);
-
-    // Entropy of the masked distribution.
-    float entropy = 0.f;
-    for (size_t i = 0; i < p.size(); ++i) {
-      if (mask[i] && p[i] > 0.f) entropy -= p[i] * std::log(p[i]);
-    }
-
-    // dL/dz_i for L = -(A log π(a) + λ H).
-    for (int i = 0; i < vocab_size_; ++i) {
-      if (!mask[i]) {
-        dlogits[i] = 0.f;
-        continue;
+      // Entropy of the masked distribution.
+      float entropy = 0.f;
+      for (float p : d.probs) {
+        if (p > 0.f) entropy -= p * std::log(p);
       }
-      float g = adv * (p[i] - (i == a ? 1.f : 0.f));
-      if (entropy_coef > 0.0 && p[i] > 0.f) {
-        g += static_cast<float>(entropy_coef) * p[i] *
-             (std::log(p[i]) + entropy);
+
+      // dL/dz_i for L = -(A log π(a) + λ H), on the support only: every
+      // masked-out logit's gradient is zero.
+      dlogits.resize(d.idx.size());
+      for (size_t k = 0; k < d.idx.size(); ++k) {
+        const float p = d.probs[k];
+        float g = adv * (p - (d.idx[k] == a ? 1.f : 0.f));
+        if (entropy_coef > 0.0 && p > 0.f) {
+          g += static_cast<float>(entropy_coef) * p * (std::log(p) + entropy);
+        }
+        dlogits[k] = g;
       }
-      dlogits[i] = g;
+      const std::vector<float>& top_h = ep.caches[t].layers.back().h;
+      head_.BackwardRows(top_h.data(), d.idx.data(),
+                         static_cast<int>(d.idx.size()), dlogits.data(),
+                         dtop[b].data() + t * H);
     }
-    const std::vector<float>& top_h = ep.caches[t].layers.back().h;
-    head_.Backward(top_h.data(), dlogits.data(), dtop[t].data());
+    lanes.push_back({&ep.caches, &dtop[b]});
   }
-  lstm_.Backward(ep.caches, dtop);
+  lstm_.Backward(lanes);
 }
 
 double PolicyNetwork::MeanEntropy(const Episode& ep) {
-  if (ep.probs.empty()) return 0.0;
+  if (ep.dists.empty()) return 0.0;
   double total = 0.0;
-  for (const std::vector<float>& p : ep.probs) {
+  for (const CompactDistribution& d : ep.dists) {
     double h = 0.0;
-    for (float x : p) {
+    for (float x : d.probs) {
       if (x > 0.f) h -= x * std::log(x);
     }
     total += h;
   }
-  return total / static_cast<double>(ep.probs.size());
+  return total / static_cast<double>(ep.dists.size());
 }
 
 std::vector<ParamTensor*> PolicyNetwork::Params() {

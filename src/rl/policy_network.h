@@ -32,14 +32,27 @@ class PolicyNetwork {
   /// Input index used for the beginning-of-sequence step.
   int bos_index() const { return vocab_size_; }
 
+  /// Compact masked action distribution for one step: probs[k] is the
+  /// probability of vocabulary index idx[k], for the (typically few)
+  /// FSM-valid tokens only. A full-vocabulary masked softmax would hold an
+  /// exact +0.0 at every other index, and such a zero can change neither
+  /// the softmax sums, a cumulative sample walk, the entropy, nor any
+  /// gradient accumulator (DESIGN.md, "Training path"), so the compact form
+  /// is all training and decoding need, without the dead ~99% of the
+  /// output layer. Reuse one instance per lane slot across decode steps to
+  /// keep the heap quiet.
+  struct CompactDistribution {
+    std::vector<int> idx;      ///< masked vocabulary indices, ascending
+    std::vector<float> probs;  ///< probabilities over idx
+  };
+
   /// Per-episode rollout state; holds everything needed for BPTT.
   struct Episode {
     LstmStack::State state;
     std::vector<LstmStack::StepCache> caches;
-    std::vector<std::vector<float>> probs;       ///< masked π per step
-    std::vector<std::vector<uint8_t>> masks;
+    std::vector<CompactDistribution> dists;  ///< masked π per step
     std::vector<int> actions;
-    std::vector<float> extra;                    ///< dense constraint dims
+    std::vector<float> extra;                ///< dense constraint dims
     bool train = false;
   };
 
@@ -48,30 +61,17 @@ class PolicyNetwork {
   /// Advances the LSTM over the previous action (BOS on the first call) and
   /// returns the masked action distribution for the next step. The returned
   /// reference lives in `ep` until the next call. Aborts on a degenerate
-  /// masked logit row; serving paths use TryNextDistribution instead.
-  const std::vector<float>& NextDistribution(Episode* ep,
-                                             const std::vector<uint8_t>& mask);
+  /// masked logit row; rollouts use TryNextDistribution instead.
+  const CompactDistribution& NextDistribution(Episode* ep,
+                                              const std::vector<uint8_t>& mask);
 
-  /// Non-aborting NextDistribution: a degenerate masked softmax row comes
-  /// back as kInternal (the episode is then unusable) instead of taking the
-  /// process down. On success `*out` points at the distribution inside `ep`
-  /// and the episode state matches NextDistribution bitwise.
+  /// Non-aborting NextDistribution: an empty mask or a degenerate masked
+  /// logit row comes back as kInternal (the episode is then unusable)
+  /// instead of taking the process down. On success `*out` points at the
+  /// distribution inside `ep`. Only the masked head rows are projected
+  /// (Linear::ForwardRows) and softmaxed (TryCompactSoftmaxInPlace).
   Status TryNextDistribution(Episode* ep, const std::vector<uint8_t>& mask,
-                             const std::vector<float>** out);
-
-  /// Compact masked action distribution for one decode step: probs[k] is
-  /// the probability of vocabulary index idx[k], for the (typically few)
-  /// FSM-valid tokens only. In the full-vocabulary distribution every
-  /// unmasked entry is an exact +0.0 that can influence neither the softmax
-  /// sums nor a cumulative sample walk, so the compact values — and any
-  /// token sampled from them — are bitwise-identical to the
-  /// TryNextDistribution path while skipping the dead ~99% of the output
-  /// layer. Reuse one instance per lane slot across steps to keep the
-  /// heap quiet.
-  struct CompactDistribution {
-    std::vector<int> idx;      ///< masked vocabulary indices, ascending
-    std::vector<float> probs;  ///< probabilities over idx
-  };
+                             const CompactDistribution** out);
 
   /// Inference-only batched step: advances `batch` independent episodes one
   /// token each through a single batched LSTM forward, then projects only
@@ -88,22 +88,22 @@ class PolicyNetwork {
   /// Records the sampled action (must follow NextDistribution).
   void RecordAction(Episode* ep, int action) const { ep->actions.push_back(action); }
 
-  /// Samples from a distribution.
-  int SampleAction(const std::vector<float>& probs, Rng* rng) const;
-
-  /// Samples a vocabulary index from a compact masked distribution; the
-  /// consumed RNG stream and the returned token match SampleAction over
-  /// the equivalent full-vocabulary distribution bitwise.
+  /// Samples a vocabulary index from a masked distribution with one
+  /// Categorical draw over its support.
   int SampleAction(const CompactDistribution& d, Rng* rng) const;
 
-  /// Arg-max action (greedy decoding).
-  int GreedyAction(const std::vector<float>& probs) const;
+  /// Arg-max action (greedy decoding); the lowest index wins ties.
+  int GreedyAction(const CompactDistribution& d) const;
 
   /// Accumulates policy-gradient + entropy-regularization gradients for a
-  /// finished episode: maximizes Σ_t [A_t log π(a_t|s_t) + λ H(π(·|s_t))]
-  /// (Eq. 4). Call optimizer Step() afterwards.
-  void AccumulateGradients(const Episode& ep,
-                           const std::vector<double>& advantages,
+  /// batch of finished episodes: maximizes Σ_t [A_t log π(a_t|s_t) +
+  /// λ H(π(·|s_t))] (Eq. 4), advantages[b] per step of episodes[b]. The
+  /// head's backward touches each step's support rows only, the episodes'
+  /// BPTT runs side by side (LstmStack::Backward), and every parameter
+  /// receives its terms in the order of one episode after another. Call
+  /// optimizer Step() afterwards.
+  void AccumulateGradients(const std::vector<Episode>& episodes,
+                           const std::vector<std::vector<double>>& advantages,
                            double entropy_coef);
 
   /// Mean policy entropy over the episode's steps (diagnostics).

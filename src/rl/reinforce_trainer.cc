@@ -66,10 +66,7 @@ void UpdateActor(const TrainerOptions& options,
                  const std::vector<PolicyNetwork::Episode>& episodes,
                  const std::vector<std::vector<double>>& advantages,
                  PolicyNetwork* actor, Adam* opt) {
-  for (size_t b = 0; b < episodes.size(); ++b) {
-    actor->AccumulateGradients(episodes[b], advantages[b],
-                               options.entropy_coef);
-  }
+  actor->AccumulateGradients(episodes, advantages, options.entropy_coef);
   ClipGradNorm(actor->Params(), options.grad_clip);
   opt->Step();
 }
@@ -86,10 +83,10 @@ StatusOr<Trajectory> RolloutPolicy(Environment* env, PolicyNetwork* actor,
   int prev = actor->bos_index();
   for (int step = 0; step < kMaxEpisodeSteps; ++step) {
     const std::vector<uint8_t>& mask = env->ValidActions();
-    const std::vector<float>* probs = nullptr;
-    LSG_RETURN_IF_ERROR(actor->TryNextDistribution(&ep, mask, &probs));
+    const PolicyNetwork::CompactDistribution* dist = nullptr;
+    LSG_RETURN_IF_ERROR(actor->TryNextDistribution(&ep, mask, &dist));
     if (critic != nullptr && critic->value) critic->value(prev);
-    int a = actor->SampleAction(*probs, rng);
+    int a = actor->SampleAction(*dist, rng);
     actor->RecordAction(&ep, a);
     auto sr = env->Step(a);
     if (!sr.ok()) return sr.status();

@@ -44,19 +44,27 @@ float ValueNetwork::StepValue(Episode* ep, int input_token) {
   return v;
 }
 
-void ValueNetwork::AccumulateGradients(const Episode& ep,
-                                       const std::vector<double>& dvalue) {
-  LSG_CHECK(ep.train);
-  const size_t T = ep.values.size();
-  LSG_CHECK(dvalue.size() == T && ep.caches.size() == T);
-  std::vector<std::vector<float>> dtop(
-      T, std::vector<float>(options_.hidden_dim, 0.f));
-  for (size_t t = 0; t < T; ++t) {
-    float dv = static_cast<float>(dvalue[t]);
-    const std::vector<float>& top_h = ep.caches[t].layers.back().h;
-    head_.Backward(top_h.data(), &dv, dtop[t].data());
+void ValueNetwork::AccumulateGradients(
+    const std::vector<Episode>& episodes,
+    const std::vector<std::vector<double>>& dvalues) {
+  LSG_CHECK(dvalues.size() == episodes.size());
+  const int H = options_.hidden_dim;
+  std::vector<std::vector<float>> dtop(episodes.size());
+  std::vector<LstmStack::BpttLane> lanes;
+  for (size_t b = 0; b < episodes.size(); ++b) {
+    const Episode& ep = episodes[b];
+    LSG_CHECK(ep.train);
+    const size_t T = ep.values.size();
+    LSG_CHECK(dvalues[b].size() == T && ep.caches.size() == T);
+    dtop[b].assign(T * H, 0.f);
+    for (size_t t = 0; t < T; ++t) {
+      float dv = static_cast<float>(dvalues[b][t]);
+      const std::vector<float>& top_h = ep.caches[t].layers.back().h;
+      head_.Backward(top_h.data(), &dv, dtop[b].data() + t * H);
+    }
+    lanes.push_back({&ep.caches, &dtop[b]});
   }
-  lstm_.Backward(ep.caches, dtop);
+  lstm_.Backward(lanes);
 }
 
 std::vector<ParamTensor*> ValueNetwork::Params() {

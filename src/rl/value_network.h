@@ -34,11 +34,12 @@ class ValueNetwork {
   /// the actions chosen by the actor) and returns V of the resulting state.
   float StepValue(Episode* ep, int input_token);
 
-  /// Accumulates TD-error critic gradients: minimizes
-  /// Σ_t 0.5·(r_t + V(s_{t+1}) − V(s_t))² with the target held fixed;
-  /// dvalue[t] is ∂L/∂V(s_t) = −td_t.
-  void AccumulateGradients(const Episode& ep,
-                           const std::vector<double>& dvalue);
+  /// Accumulates TD-error critic gradients for a batch of finished
+  /// episodes: minimizes Σ_t 0.5·(r_t + V(s_{t+1}) − V(s_t))² with the
+  /// target held fixed; dvalues[b][t] is ∂L/∂V(s_t) = −td_t of episodes[b].
+  /// The BPTT runs side by side (see PolicyNetwork::AccumulateGradients).
+  void AccumulateGradients(const std::vector<Episode>& episodes,
+                           const std::vector<std::vector<double>>& dvalues);
 
   std::vector<ParamTensor*> Params();
 

@@ -1,12 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 
 #include "nn/adam.h"
-#include "nn/dropout.h"
 #include "nn/linear.h"
 #include "nn/lstm.h"
 #include "nn/matrix.h"
@@ -51,22 +52,23 @@ TEST(MatrixTest, MatVec) {
   EXPECT_FLOAT_EQ(y[0], 12.f);
 }
 
-TEST(MatrixTest, MatTVecAccum) {
+TEST(MatrixTest, MatTMatAccumOneLane) {
   Matrix w(2, 3);
   for (int i = 0; i < 6; ++i) w.data()[i] = static_cast<float>(i + 1);
   float dy[2] = {1, 1};
   float dx[3] = {0, 0, 0};
-  MatTVecAccum(w, dy, dx);
+  MatTMatAccum(w, dy, 1, dx);
   EXPECT_FLOAT_EQ(dx[0], 5.f);   // 1+4
   EXPECT_FLOAT_EQ(dx[1], 7.f);   // 2+5
   EXPECT_FLOAT_EQ(dx[2], 9.f);   // 3+6
 }
 
-TEST(MatrixTest, OuterAccum) {
+TEST(MatrixTest, OuterAccumBatchOneTerm) {
   Matrix dw = Matrix::Zeros(2, 2);
   float dy[2] = {1, 2};
   float x[2] = {3, 4};
-  OuterAccum(&dw, dy, x);
+  const float* xs = x;
+  OuterAccumBatch(&dw, dy, &xs, 1);
   EXPECT_FLOAT_EQ(dw.at(0, 0), 3.f);
   EXPECT_FLOAT_EQ(dw.at(0, 1), 4.f);
   EXPECT_FLOAT_EQ(dw.at(1, 0), 6.f);
@@ -75,7 +77,7 @@ TEST(MatrixTest, OuterAccum) {
 
 TEST(SoftmaxTest, SumsToOne) {
   std::vector<float> v = {1.f, 2.f, 3.f};
-  SoftmaxInPlace(&v);
+  ASSERT_TRUE(TryCompactSoftmaxInPlace(v.data(), v.size()).ok());
   float sum = v[0] + v[1] + v[2];
   EXPECT_NEAR(sum, 1.f, 1e-6);
   EXPECT_GT(v[2], v[1]);
@@ -84,26 +86,74 @@ TEST(SoftmaxTest, SumsToOne) {
 
 TEST(SoftmaxTest, StableWithLargeLogits) {
   std::vector<float> v = {1000.f, 1001.f};
-  SoftmaxInPlace(&v);
+  ASSERT_TRUE(TryCompactSoftmaxInPlace(v.data(), v.size()).ok());
   EXPECT_NEAR(v[0] + v[1], 1.f, 1e-6);
   EXPECT_FALSE(std::isnan(v[0]));
+}
+
+// Full-row masked softmax: the reference for TryCompactSoftmaxInPlace,
+// which runs the same max / exp / partition-sum / divide sequence over the
+// masked entries alone. Masked-out entries come back as exact zeros.
+Status ReferenceMaskedSoftmax(std::vector<float>* v,
+                              const std::vector<uint8_t>& mask) {
+  float mx = -1e30f;
+  bool any = false;
+  for (size_t i = 0; i < v->size(); ++i) {
+    if (mask[i]) {
+      mx = std::max(mx, (*v)[i]);
+      any = true;
+    }
+  }
+  if (!any) return Status::Internal("masked softmax with empty mask");
+  double sum = 0.0;
+  for (size_t i = 0; i < v->size(); ++i) {
+    if (mask[i]) {
+      (*v)[i] = std::exp((*v)[i] - mx);
+      sum += (*v)[i];
+    } else {
+      (*v)[i] = 0.f;
+    }
+  }
+  if (!(sum > 0.0) || !std::isfinite(sum)) {
+    return Status::Internal("masked softmax with degenerate logits");
+  }
+  for (size_t i = 0; i < v->size(); ++i) {
+    (*v)[i] = static_cast<float>((*v)[i] / sum);
+  }
+  return Status::Ok();
+}
+
+// The masked entries of `v`, in ascending index order.
+std::vector<float> Compact(const std::vector<float>& v,
+                           const std::vector<uint8_t>& mask) {
+  std::vector<float> out;
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (mask[i]) out.push_back(v[i]);
+  }
+  return out;
 }
 
 TEST(MaskedSoftmaxTest, MaskedEntriesZero) {
   std::vector<float> v = {5.f, 1.f, 2.f, 3.f};
   std::vector<uint8_t> mask = {0, 1, 1, 0};
-  MaskedSoftmaxInPlace(&v, mask);
+  std::vector<float> compact = Compact(v, mask);
+  ASSERT_TRUE(ReferenceMaskedSoftmax(&v, mask).ok());
   EXPECT_FLOAT_EQ(v[0], 0.f);
   EXPECT_FLOAT_EQ(v[3], 0.f);
   EXPECT_NEAR(v[1] + v[2], 1.f, 1e-6);
   EXPECT_GT(v[2], v[1]);
+  ASSERT_TRUE(TryCompactSoftmaxInPlace(compact.data(), compact.size()).ok());
+  EXPECT_EQ(compact, Compact(v, mask));
 }
 
 TEST(MaskedSoftmaxTest, AllNegInfMaskedRowIsStructuredError) {
   const float inf = std::numeric_limits<float>::infinity();
   std::vector<float> v = {-inf, -inf, -inf};
   std::vector<uint8_t> mask = {1, 1, 0};
-  Status st = TryMaskedSoftmaxInPlace(&v, mask);
+  std::vector<float> compact = Compact(v, mask);
+  Status st = ReferenceMaskedSoftmax(&v, mask);
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  st = TryCompactSoftmaxInPlace(compact.data(), compact.size());
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
 }
@@ -111,12 +161,14 @@ TEST(MaskedSoftmaxTest, AllNegInfMaskedRowIsStructuredError) {
 TEST(MaskedSoftmaxTest, EmptyMaskIsStructuredError) {
   std::vector<float> v = {1.f, 2.f};
   std::vector<uint8_t> mask = {0, 0};
-  Status st = TryMaskedSoftmaxInPlace(&v, mask);
+  Status st = ReferenceMaskedSoftmax(&v, mask);
+  EXPECT_EQ(st.code(), StatusCode::kInternal);
+  st = TryCompactSoftmaxInPlace(v.data(), 0);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInternal);
 }
 
-TEST(MaskedSoftmaxTest, TryPathMatchesCheckedPathBitwise) {
+TEST(MaskedSoftmaxTest, CompactMatchesFullRowReferenceBitwise) {
   Rng rng(101);
   for (int iter = 0; iter < 200; ++iter) {
     const int n = 1 + static_cast<int>(rng.Next() % 9);
@@ -129,12 +181,15 @@ TEST(MaskedSoftmaxTest, TryPathMatchesCheckedPathBitwise) {
       any = any || mask[i];
     }
     if (!any) mask[0] = 1;
-    std::vector<float> checked = logits;
-    std::vector<float> tried = logits;
-    MaskedSoftmaxInPlace(&checked, mask);
-    ASSERT_TRUE(TryMaskedSoftmaxInPlace(&tried, mask).ok());
-    for (int i = 0; i < n; ++i) {
-      EXPECT_EQ(checked[i], tried[i]) << "iter " << iter << " entry " << i;
+    std::vector<float> full = logits;
+    std::vector<float> compact = Compact(logits, mask);
+    ASSERT_TRUE(ReferenceMaskedSoftmax(&full, mask).ok());
+    ASSERT_TRUE(TryCompactSoftmaxInPlace(compact.data(), compact.size()).ok());
+    const std::vector<float> want = Compact(full, mask);
+    ASSERT_EQ(compact.size(), want.size());
+    for (size_t k = 0; k < want.size(); ++k) {
+      EXPECT_EQ(std::memcmp(&compact[k], &want[k], sizeof(float)), 0)
+          << "iter " << iter << " entry " << k;
     }
   }
 }
@@ -205,21 +260,26 @@ TEST(MatMatTest, AccumMatchesMatVecAccumBitwise) {
   }
 }
 
-TEST(LinearBatchTest, ForwardBatchMatchesForwardBitwise) {
+TEST(LinearRowsTest, ForwardRowsMatchesForwardBitwise) {
   Rng rng(55);
   Linear lin(13, 9, &rng);
   const int batch = 5;
   std::vector<float> x_panel(13 * batch);
   for (float& v : x_panel) v = static_cast<float>(rng.Normal(0.0, 1.0));
-  std::vector<float> y_panel(9 * batch);
-  lin.ForwardBatch(x_panel.data(), batch, y_panel.data());
-  std::vector<float> x(13);
-  std::vector<float> y(9);
+  const std::vector<int> rows = {0, 3, 4, 8};
+  std::vector<float> x(13), y(9), y_rows(rows.size());
   for (int b = 0; b < batch; ++b) {
     for (int j = 0; j < 13; ++j) x[j] = x_panel[j * batch + b];
     lin.Forward(x.data(), y.data());
-    for (int i = 0; i < 9; ++i) {
-      ASSERT_EQ(y[i], y_panel[static_cast<size_t>(i) * batch + b]);
+    // A panel column (stride batch) and the extracted vector (stride 1).
+    const std::pair<const float*, int> inputs[] = {
+        {x_panel.data() + b, batch}, {x.data(), 1}};
+    for (const auto& [xs, stride] : inputs) {
+      lin.ForwardRows(xs, stride, rows.data(), static_cast<int>(rows.size()),
+                      y_rows.data());
+      for (size_t k = 0; k < rows.size(); ++k) {
+        ASSERT_EQ(y[rows[k]], y_rows[k]) << "lane " << b << " row " << k;
+      }
     }
   }
 }
@@ -395,10 +455,11 @@ TEST(LstmStackGradientTest, BpttMatchesNumerical) {
   const int vocab = 6, hid = 4, layers = 2;
   LstmStack stack(vocab, hid, layers, /*dropout=*/0.f, &rng);
   std::vector<int> tokens = {1, 4, 2};
-  std::vector<std::vector<float>> coef = {
-      {1.f, 0.f, -1.f, 0.5f},
-      {0.f, 2.f, 0.f, -0.5f},
-      {1.f, 1.f, 1.f, 1.f},
+  // Row t: the loss weights of the top hidden state after step t.
+  std::vector<float> coef = {
+      1.f, 0.f, -1.f, 0.5f,
+      0.f, 2.f, 0.f, -0.5f,
+      1.f, 1.f, 1.f, 1.f,
   };
 
   Rng dummy(0);
@@ -408,7 +469,7 @@ TEST(LstmStackGradientTest, BpttMatchesNumerical) {
     for (size_t t = 0; t < tokens.size(); ++t) {
       const std::vector<float>& h =
           stack.Step(tokens[t], &st, nullptr, false, &dummy);
-      for (int k = 0; k < hid; ++k) l += h[k] * coef[t][k];
+      for (int k = 0; k < hid; ++k) l += h[k] * coef[t * hid + k];
     }
     return l;
   };
@@ -419,7 +480,7 @@ TEST(LstmStackGradientTest, BpttMatchesNumerical) {
   for (size_t t = 0; t < tokens.size(); ++t) {
     stack.Step(tokens[t], &st, &caches[t], true, &dummy);
   }
-  stack.Backward(caches, coef);
+  stack.Backward({{&caches, &coef}});
 
   int checked = 0;
   for (ParamTensor* p : stack.Params()) {
@@ -432,42 +493,267 @@ TEST(LstmStackGradientTest, BpttMatchesNumerical) {
   EXPECT_GE(checked, 40);
 }
 
-// ---------------------------------------------------------------- dropout
-
-TEST(DropoutTest, InferenceIsIdentity) {
-  Dropout d(0.5f);
-  Rng rng(23);
-  std::vector<float> x = {1.f, 2.f, 3.f};
-  std::vector<float> mask;
-  d.Forward(&x, &mask, /*train=*/false, &rng);
-  EXPECT_TRUE(mask.empty());
-  EXPECT_FLOAT_EQ(x[1], 2.f);
-}
-
-TEST(DropoutTest, TrainingZeroesAndRescales) {
-  Dropout d(0.3f);
-  Rng rng(29);
-  const int n = 20000;
-  std::vector<float> x(n, 1.f);
-  std::vector<float> mask;
-  d.Forward(&x, &mask, /*train=*/true, &rng);
-  int zeros = 0;
-  double sum = 0;
-  for (float v : x) {
-    if (v == 0.f) ++zeros;
-    sum += v;
+TEST(LstmStackGradientTest, BpttThroughDropoutMatchesNumerical) {
+  // Every loss evaluation replays the same dropout masks (same stream), so
+  // the numerical gradient checks the backward routing through them.
+  Rng init(23);
+  const int vocab = 5, hid = 4, layers = 3;
+  LstmStack stack(vocab, hid, layers, /*dropout=*/0.5f, &init);
+  const std::vector<int> tokens = {2, 0, 4, 1};
+  std::vector<float> coef(tokens.size() * hid);
+  for (size_t i = 0; i < coef.size(); ++i) {
+    coef[i] = static_cast<float>(static_cast<int>(i % 5) - 2);
   }
-  EXPECT_NEAR(zeros / static_cast<double>(n), 0.3, 0.02);
-  // Inverted dropout keeps the expectation.
-  EXPECT_NEAR(sum / n, 1.0, 0.05);
+  auto run = [&](std::vector<LstmStack::StepCache>* caches) {
+    Rng masks(77);
+    LstmStack::State st = stack.InitialState();
+    double l = 0;
+    for (size_t t = 0; t < tokens.size(); ++t) {
+      const std::vector<float>& h = stack.Step(
+          tokens[t], &st, caches != nullptr ? &(*caches)[t] : nullptr,
+          /*train=*/true, &masks);
+      for (int k = 0; k < hid; ++k) l += h[k] * coef[t * hid + k];
+    }
+    return l;
+  };
+  std::vector<LstmStack::StepCache> caches(tokens.size());
+  run(&caches);
+  int dropped = 0;
+  for (const LstmStack::StepCache& sc : caches) {
+    for (float m : sc.dropout_mask[1]) dropped += m == 0.f;
+  }
+  EXPECT_GT(dropped, 0);
+  stack.Backward({{&caches, &coef}});
+  for (ParamTensor* p : stack.Params()) {
+    for (size_t i = 0; i < p->value.size(); i += 5) {
+      double num = NumericalGrad(&p->value.data()[i], 1e-3,
+                                 [&] { return run(nullptr); });
+      EXPECT_NEAR(p->grad.data()[i], num, 3e-2) << p->name << "[" << i << "]";
+    }
+  }
 }
 
-TEST(DropoutTest, BackwardRoutesThroughMask) {
-  std::vector<float> mask = {0.f, 2.f};
-  std::vector<float> dx = {5.f, 5.f};
-  Dropout::Backward(mask, &dx);
-  EXPECT_FLOAT_EQ(dx[0], 0.f);
-  EXPECT_FLOAT_EQ(dx[1], 10.f);
+// ------------------------------------------------------------- dropout
+
+TEST(LstmStackDropoutTest, EvalStepsDrawNoMask) {
+  Rng rng(23);
+  LstmStack stack(4, 8, 2, /*dropout=*/0.5f, &rng);
+  LstmStack::State st = stack.InitialState();
+  LstmStack::StepCache cache;
+  stack.Step(1, &st, &cache, /*train=*/false, &rng);
+  for (const std::vector<float>& mask : cache.dropout_mask) {
+    EXPECT_TRUE(mask.empty());
+  }
+}
+
+TEST(LstmStackDropoutTest, TrainingZeroesAndRescales) {
+  Rng rng(29);
+  const int hid = 500;
+  LstmStack stack(4, hid, 2, /*dropout=*/0.3f, &rng);
+  LstmStack::State st = stack.InitialState();
+  int zeros = 0, total = 0;
+  for (int t = 0; t < 40; ++t) {
+    LstmStack::StepCache cache;
+    stack.Step(t % 4, &st, &cache, /*train=*/true, &rng);
+    EXPECT_TRUE(cache.dropout_mask[0].empty());  // no dropout below layer 0
+    ASSERT_EQ(cache.dropout_mask[1].size(), static_cast<size_t>(hid));
+    for (float m : cache.dropout_mask[1]) {
+      ++total;
+      if (m == 0.f) {
+        ++zeros;
+      } else {
+        EXPECT_FLOAT_EQ(m, 1.f / 0.7f);  // inverted dropout keeps the mean
+      }
+    }
+  }
+  EXPECT_NEAR(zeros / static_cast<double>(total), 0.3, 0.02);
+}
+
+// ------------------------------------------------------ training kernels
+
+// Scalar references for the vectorized training kernels: the loops they
+// replaced, run here without -march=native. The bitwise comparisons below
+// fail on any reassociation, contraction or changed zero skip.
+void RefMatTVecAccum(const Matrix& w, const float* dy, float* dx) {
+  for (int i = 0; i < w.rows(); ++i) {
+    const float g = dy[i];
+    if (g == 0.f) continue;
+    for (int j = 0; j < w.cols(); ++j) dx[j] += w.at(i, j) * g;
+  }
+}
+
+void RefOuterAccum(Matrix* dw, const float* dy, const float* x) {
+  for (int i = 0; i < dw->rows(); ++i) {
+    const float g = dy[i];
+    if (g == 0.f) continue;
+    for (int j = 0; j < dw->cols(); ++j) dw->at(i, j) += g * x[j];
+  }
+}
+
+bool SameBits(float a, float b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+// A gradient-like value: mostly normal, with exact zeros of both signs and
+// denormals mixed in.
+float MixedValue(Rng* rng) {
+  switch (rng->Next() % 8) {
+    case 0: return 0.f;
+    case 1: return -0.f;
+    case 2: return (rng->Next() % 2 ? 1.f : -1.f) * 3e-41f;  // denormal
+    default: return static_cast<float>(rng->Normal(0.0, 1.0));
+  }
+}
+
+TEST(KernelTest, MatTMatAccumMatchesPerLaneReferenceBitwise) {
+  Rng rng(61);
+  for (int batch : {1, 2, 3, 5, 8, 9, 16, 17}) {
+    for (int rows : {1, 5, 120}) {
+      for (int cols : {1, 3, 30, 37}) {
+        Matrix w = Matrix::Randn(rows, cols, 1.f, &rng);
+        std::vector<float> dy(static_cast<size_t>(rows) * batch);
+        for (float& v : dy) v = MixedValue(&rng);
+        // A non-finite weight in a row no lane reads: the zero skip must
+        // keep it out of every sum.
+        for (int b = 0; b < batch; ++b) dy[b] = 0.f;
+        w.at(0, 0) = std::numeric_limits<float>::infinity();
+        std::vector<float> dx(static_cast<size_t>(cols) * batch);
+        for (float& v : dx) v = rng.Next() % 3 ? 0.f : 1.5f;
+        std::vector<float> want = dx;
+        MatTMatAccum(w, dy.data(), batch, dx.data());
+        std::vector<float> g(rows), x(cols);
+        for (int b = 0; b < batch; ++b) {
+          for (int i = 0; i < rows; ++i) g[i] = dy[i * batch + b];
+          for (int j = 0; j < cols; ++j) x[j] = want[j * batch + b];
+          RefMatTVecAccum(w, g.data(), x.data());
+          for (int j = 0; j < cols; ++j) {
+            ASSERT_TRUE(SameBits(x[j], dx[j * batch + b]))
+                << "B=" << batch << " r=" << rows << " c=" << cols
+                << " lane=" << b << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTest, OuterAccumBatchMatchesSequentialReferenceBitwise) {
+  Rng rng(67);
+  for (int n : {1, 7, 50}) {
+    for (int rows : {1, 3, 4, 120}) {
+      for (int cols : {1, 2, 30, 37, 100}) {
+        std::vector<float> dy_t(static_cast<size_t>(rows) * n);
+        for (float& v : dy_t) v = MixedValue(&rng);
+        std::vector<std::vector<float>> xs(n, std::vector<float>(cols));
+        std::vector<const float*> x(n);
+        for (int k = 0; k < n; ++k) {
+          for (float& v : xs[k]) v = MixedValue(&rng);
+          x[k] = xs[k].data();
+        }
+        // A non-finite input under a zero gradient is skipped, not NaN.
+        dy_t[0] = 0.f;
+        xs[0][0] = std::numeric_limits<float>::infinity();
+        Matrix dw = Matrix::Randn(rows, cols, 1.f, &rng);
+        for (size_t i = 0; i < dw.size(); i += 3) dw.data()[i] = 0.f;
+        Matrix want = dw;
+        OuterAccumBatch(&dw, dy_t.data(), x.data(), n);
+        std::vector<float> dy(rows);
+        for (int k = 0; k < n; ++k) {
+          for (int i = 0; i < rows; ++i) dy[i] = dy_t[i * n + k];
+          RefOuterAccum(&want, dy.data(), x[k]);
+        }
+        for (size_t i = 0; i < dw.size(); ++i) {
+          ASSERT_TRUE(SameBits(want.data()[i], dw.data()[i]))
+              << "n=" << n << " r=" << rows << " c=" << cols << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelTest, BackwardRowsMatchesFullBackwardBitwise) {
+  Rng rng(71);
+  Linear full(7, 11, &rng);
+  Linear rows_only = full;
+  const std::vector<int> rows = {1, 2, 6, 10};
+  for (int step = 0; step < 4; ++step) {
+    std::vector<float> x(7), dy_rows(rows.size()), dy(11, 0.f);
+    for (float& v : x) v = static_cast<float>(rng.Normal(0.0, 1.0));
+    for (size_t k = 0; k < rows.size(); ++k) {
+      dy_rows[k] = MixedValue(&rng);
+      dy[rows[k]] = dy_rows[k];
+    }
+    std::vector<float> dx_full(7, 0.f), dx_rows(7, 0.f);
+    full.Backward(x.data(), dy.data(), dx_full.data());
+    rows_only.BackwardRows(x.data(), rows.data(),
+                           static_cast<int>(rows.size()), dy_rows.data(),
+                           dx_rows.data());
+    for (int j = 0; j < 7; ++j) ASSERT_TRUE(SameBits(dx_full[j], dx_rows[j]));
+  }
+  auto pf = full.Params();
+  auto pr = rows_only.Params();
+  for (size_t p = 0; p < pf.size(); ++p) {
+    for (size_t i = 0; i < pf[p]->grad.size(); ++i) {
+      ASSERT_TRUE(SameBits(pf[p]->grad.data()[i], pr[p]->grad.data()[i]))
+          << pf[p]->name << "[" << i << "]";
+    }
+  }
+}
+
+// Sequential double sum of squares over every entry, as ClipGradNorm did
+// before it skipped all-zero blocks.
+double RefClip(const std::vector<ParamTensor*>& params, double max_norm) {
+  double sq = 0.0;
+  for (const ParamTensor* p : params) {
+    for (size_t i = 0; i < p->grad.size(); ++i) {
+      const double g = p->grad.data()[i];
+      sq += g * g;
+    }
+  }
+  const double norm = std::sqrt(sq);
+  if (norm > max_norm && norm > 0.0) {
+    const float scale = static_cast<float>(max_norm / norm);
+    for (ParamTensor* p : params) {
+      for (size_t i = 0; i < p->grad.size(); ++i) p->grad.data()[i] *= scale;
+    }
+  }
+  return norm;
+}
+
+TEST(ClipGradNormTest, ZeroSkipMatchesSequentialReference) {
+  Rng rng(73);
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (int trial = 0; trial < 6; ++trial) {
+    // One-hot-like sparse columns, an all-zero tensor, a tensor of -0.0,
+    // sizes off the 16-float block, and (trial 5) a NaN.
+    std::vector<ParamTensor> ps;
+    ps.emplace_back("sparse", Matrix::Zeros(9, 37));
+    ps.emplace_back("zeros", Matrix::Zeros(3, 21));
+    ps.emplace_back("negzero", Matrix::Zeros(1, 40));
+    ps.emplace_back("dense", Matrix::Zeros(5, 7));
+    for (int r = 0; r < 9; ++r) ps[0].grad.at(r, 5 + trial) = MixedValue(&rng);
+    for (size_t i = 0; i < ps[2].grad.size(); ++i) ps[2].grad.data()[i] = -0.f;
+    for (size_t i = 0; i < ps[3].grad.size(); ++i) {
+      ps[3].grad.data()[i] = MixedValue(&rng) * (trial + 1);
+    }
+    if (trial == 5) ps[0].grad.at(4, 30) = nan;
+    std::vector<ParamTensor> ref = ps;
+    std::vector<ParamTensor*> got_ptrs, ref_ptrs;
+    for (size_t i = 0; i < ps.size(); ++i) {
+      got_ptrs.push_back(&ps[i]);
+      ref_ptrs.push_back(&ref[i]);
+    }
+    const double got = ClipGradNorm(got_ptrs, 2.0);
+    const double want = RefClip(ref_ptrs, 2.0);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << "trial " << trial;
+    if (trial == 5) {
+      EXPECT_TRUE(std::isnan(got));
+    }
+    for (size_t p = 0; p < ps.size(); ++p) {
+      for (size_t i = 0; i < ps[p].grad.size(); ++i) {
+        ASSERT_TRUE(SameBits(ps[p].grad.data()[i], ref[p].grad.data()[i]))
+            << "trial " << trial << " " << ps[p].name << "[" << i << "]";
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------- adam
@@ -491,6 +777,49 @@ TEST(AdamTest, StepZeroesGradients) {
   w.grad.data()[0] = 1.f;
   opt.Step();
   EXPECT_FLOAT_EQ(w.grad.data()[0], 0.f);
+}
+
+TEST(AdamTest, VectorizedStepMatchesScalarReferenceBitwise) {
+  // Sizes off the vector width, and gradients with zeros of both signs
+  // and denormals, over several steps (the bias corrections change).
+  Rng rng(79);
+  const float lr = 1e-3f, b1 = 0.9f, b2 = 0.999f, eps = 1e-8f;
+  std::vector<ParamTensor> ps;
+  for (int n : {1, 15, 17, 33, 1003}) {
+    ps.emplace_back("p", Matrix::Randn(1, n, 0.5f, &rng));
+  }
+  std::vector<ParamTensor*> ptrs;
+  for (ParamTensor& p : ps) ptrs.push_back(&p);
+  Adam opt(ptrs, lr, b1, b2, eps);
+  std::vector<std::vector<float>> w, m, v;
+  for (const ParamTensor& p : ps) {
+    w.emplace_back(p.value.data(), p.value.data() + p.value.size());
+    m.emplace_back(p.value.size(), 0.f);
+    v.emplace_back(p.value.size(), 0.f);
+  }
+  for (int t = 1; t <= 4; ++t) {
+    const float bc1 = 1.f - std::pow(b1, static_cast<float>(t));
+    const float bc2 = 1.f - std::pow(b2, static_cast<float>(t));
+    for (size_t p = 0; p < ps.size(); ++p) {
+      for (size_t k = 0; k < ps[p].grad.size(); ++k) {
+        const float g = MixedValue(&rng);
+        ps[p].grad.data()[k] = g;
+        m[p][k] = b1 * m[p][k] + (1.f - b1) * g;
+        v[p][k] = b2 * v[p][k] + (1.f - b2) * g * g;
+        const float mhat = m[p][k] / bc1;
+        const float vhat = v[p][k] / bc2;
+        w[p][k] -= lr * mhat / (std::sqrt(vhat) + eps);
+      }
+    }
+    opt.Step();
+    for (size_t p = 0; p < ps.size(); ++p) {
+      for (size_t k = 0; k < ps[p].value.size(); ++k) {
+        ASSERT_TRUE(SameBits(w[p][k], ps[p].value.data()[k]))
+            << "step " << t << " tensor " << p << " k=" << k;
+        ASSERT_TRUE(SameBits(0.f, ps[p].grad.data()[k]));
+      }
+    }
+  }
 }
 
 TEST(AdamTest, ZeroGradDiscards) {

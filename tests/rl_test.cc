@@ -237,11 +237,10 @@ TEST(PolicyNetworkTest, DistributionRespectsMask) {
   PolicyNetwork net(5, o);
   auto ep = net.BeginEpisode(false);
   std::vector<uint8_t> mask = {1, 0, 1, 0, 0};
-  const auto& p = net.NextDistribution(&ep, mask);
-  EXPECT_FLOAT_EQ(p[1], 0.f);
-  EXPECT_FLOAT_EQ(p[3], 0.f);
-  EXPECT_FLOAT_EQ(p[4], 0.f);
-  EXPECT_NEAR(p[0] + p[2], 1.f, 1e-5);
+  const PolicyNetwork::CompactDistribution& d = net.NextDistribution(&ep, mask);
+  EXPECT_EQ(d.idx, (std::vector<int>{0, 2}));
+  ASSERT_EQ(d.probs.size(), 2u);
+  EXPECT_NEAR(d.probs[0] + d.probs[1], 1.f, 1e-5);
 }
 
 TEST(PolicyNetworkTest, SamplingHonorsMask) {
@@ -252,9 +251,9 @@ TEST(PolicyNetworkTest, SamplingHonorsMask) {
   Rng rng(3);
   auto ep = net.BeginEpisode(false);
   std::vector<uint8_t> mask = {0, 0, 1, 0, 1, 0};
-  const auto& p = net.NextDistribution(&ep, mask);
+  const PolicyNetwork::CompactDistribution& d = net.NextDistribution(&ep, mask);
   for (int i = 0; i < 200; ++i) {
-    int a = net.SampleAction(p, &rng);
+    int a = net.SampleAction(d, &rng);
     EXPECT_TRUE(a == 2 || a == 4);
   }
 }
@@ -264,8 +263,12 @@ TEST(PolicyNetworkTest, GreedyPicksArgmax) {
   o.hidden_dim = 8;
   o.num_layers = 1;
   PolicyNetwork net(4, o);
-  std::vector<float> probs = {0.1f, 0.6f, 0.2f, 0.1f};
-  EXPECT_EQ(net.GreedyAction(probs), 1);
+  PolicyNetwork::CompactDistribution d;
+  d.idx = {0, 1, 3};
+  d.probs = {0.1f, 0.6f, 0.3f};
+  EXPECT_EQ(net.GreedyAction(d), 1);
+  d.probs = {0.2f, 0.3f, 0.5f};
+  EXPECT_EQ(net.GreedyAction(d), 3);
 }
 
 TEST(PolicyNetworkTest, EntropyDiagnostic) {
@@ -294,17 +297,17 @@ TEST(PolicyNetworkTest, GradientPushesTowardRewardedAction) {
   float before;
   {
     auto ep = net.BeginEpisode(false);
-    before = net.NextDistribution(&ep, mask)[2];
+    before = net.NextDistribution(&ep, mask).probs[2];
   }
   for (int iter = 0; iter < 5; ++iter) {
-    auto ep = net.BeginEpisode(true);
-    net.NextDistribution(&ep, mask);
-    net.RecordAction(&ep, 2);
-    net.AccumulateGradients(ep, {1.0}, 0.0);
+    std::vector<PolicyNetwork::Episode> eps(1, net.BeginEpisode(true));
+    net.NextDistribution(&eps[0], mask);
+    net.RecordAction(&eps[0], 2);
+    net.AccumulateGradients(eps, {{1.0}}, 0.0);
     opt.Step();
   }
   auto ep = net.BeginEpisode(false);
-  float after = net.NextDistribution(&ep, mask)[2];
+  float after = net.NextDistribution(&ep, mask).probs[2];
   EXPECT_GT(after, before);
 }
 
@@ -318,9 +321,9 @@ TEST(ValueNetworkTest, FitsConstantTarget) {
   // Train V(s0) toward 0.7 using the same input each time.
   float v = 0;
   for (int iter = 0; iter < 300; ++iter) {
-    auto ep = net.BeginEpisode(true);
-    v = net.StepValue(&ep, net.bos_index());
-    net.AccumulateGradients(ep, {v - 0.7});
+    std::vector<ValueNetwork::Episode> eps(1, net.BeginEpisode(true));
+    v = net.StepValue(&eps[0], net.bos_index());
+    net.AccumulateGradients(eps, {{v - 0.7}});
     opt.Step();
   }
   EXPECT_NEAR(v, 0.7f, 0.05f);
@@ -349,13 +352,116 @@ TEST(ExtraFeatureTest, AcExtendInputChangesDistribution) {
   std::vector<uint8_t> mask = {1, 1, 1, 1};
   auto ep1 = net.BeginEpisode(false);
   ep1.extra = {0.0f, 0.0f};
-  auto p1 = net.NextDistribution(&ep1, mask);
+  auto p1 = net.NextDistribution(&ep1, mask).probs;
   auto ep2 = net.BeginEpisode(false);
   ep2.extra = {5.0f, -5.0f};
-  auto p2 = net.NextDistribution(&ep2, mask);
+  auto p2 = net.NextDistribution(&ep2, mask).probs;
   double diff = 0;
   for (int i = 0; i < 4; ++i) diff += std::abs(p1[i] - p2[i]);
   EXPECT_GT(diff, 1e-4);
+}
+
+// ---------------------------------------------------------- batched BPTT
+
+// The training update runs the episodes' backward passes side by side.
+// Lanes differ in length (1 to 45 steps, so lanes finish at different time
+// slices), dropout is on, and AC-extend's dense constraint tail feeds
+// layer 0 in the extra_input_dims runs. Every parameter gradient must be
+// bitwise what accumulating the same episodes one at a time, in order,
+// gives: lane independence and the episode-major order of every sum.
+const std::vector<int> kRaggedLengths = {1, 43, 7, 1, 45};
+
+std::vector<uint32_t> GradBits(const std::vector<ParamTensor*>& params) {
+  std::vector<uint32_t> out;
+  for (const ParamTensor* p : params) {
+    for (size_t i = 0; i < p->grad.size(); ++i) {
+      uint32_t b;
+      std::memcpy(&b, &p->grad.data()[i], sizeof(b));
+      out.push_back(b);
+    }
+  }
+  return out;
+}
+
+size_t NonZero(const std::vector<uint32_t>& bits) {
+  size_t n = 0;
+  for (uint32_t b : bits) n += (b << 1) != 0;
+  return n;
+}
+
+NetworkOptions BpttOptions(int extra_dims) {
+  NetworkOptions o;
+  o.hidden_dim = 8;
+  o.num_layers = 2;
+  o.dropout = 0.3f;
+  o.extra_input_dims = extra_dims;
+  o.seed = 41;
+  return o;
+}
+
+TEST(BatchedBpttTest, ActorLanesMatchOneAtATimeBitwise) {
+  const int vocab = 12;
+  for (int extra : {0, 2}) {
+    PolicyNetwork batched(vocab, BpttOptions(extra));
+    PolicyNetwork single(vocab, BpttOptions(extra));  // same init
+    Rng rng(5);
+    std::vector<PolicyNetwork::Episode> eps;
+    std::vector<std::vector<double>> adv;
+    int dropped = 0;
+    for (int len : kRaggedLengths) {
+      PolicyNetwork::Episode ep = batched.BeginEpisode(/*train=*/true);
+      if (extra > 0) ep.extra = {0.5f, -1.25f};
+      adv.emplace_back();
+      for (int t = 0; t < len; ++t) {
+        std::vector<uint8_t> mask(vocab, 0);
+        for (uint8_t& m : mask) m = rng.Next() % 3 == 0;
+        mask[rng.Next() % vocab] = 1;
+        const auto& dist = batched.NextDistribution(&ep, mask);
+        batched.RecordAction(&ep, batched.SampleAction(dist, &rng));
+        adv.back().push_back(rng.Normal(0.0, 1.0));
+        for (float m : ep.caches.back().dropout_mask[1]) dropped += m == 0.f;
+      }
+      eps.push_back(std::move(ep));
+    }
+    ASSERT_GT(dropped, 0);
+    batched.AccumulateGradients(eps, adv, 0.01);
+    for (size_t b = 0; b < eps.size(); ++b) {
+      single.AccumulateGradients({eps[b]}, {adv[b]}, 0.01);
+    }
+    const std::vector<uint32_t> got = GradBits(batched.Params());
+    EXPECT_GT(NonZero(got), got.size() / 4) << "extra=" << extra;
+    EXPECT_EQ(got, GradBits(single.Params())) << "extra=" << extra;
+  }
+}
+
+TEST(BatchedBpttTest, CriticLanesMatchOneAtATimeBitwise) {
+  const int vocab = 12;
+  for (int extra : {0, 2}) {
+    ValueNetwork batched(vocab, BpttOptions(extra));
+    ValueNetwork single(vocab, BpttOptions(extra));
+    Rng rng(6);
+    std::vector<ValueNetwork::Episode> eps;
+    std::vector<std::vector<double>> dvalues;
+    for (int len : kRaggedLengths) {
+      ValueNetwork::Episode ep = batched.BeginEpisode(/*train=*/true);
+      if (extra > 0) ep.extra = {2.0f, 0.75f};
+      dvalues.emplace_back();
+      int token = batched.bos_index();
+      for (int t = 0; t < len; ++t) {
+        batched.StepValue(&ep, token);
+        token = static_cast<int>(rng.Next() % vocab);
+        dvalues.back().push_back(rng.Normal(0.0, 1.0));
+      }
+      eps.push_back(std::move(ep));
+    }
+    batched.AccumulateGradients(eps, dvalues);
+    for (size_t b = 0; b < eps.size(); ++b) {
+      single.AccumulateGradients({eps[b]}, {dvalues[b]});
+    }
+    const std::vector<uint32_t> got = GradBits(batched.Params());
+    EXPECT_GT(NonZero(got), got.size() / 4) << "extra=" << extra;
+    EXPECT_EQ(got, GradBits(single.Params())) << "extra=" << extra;
+  }
 }
 
 // ---------------------------------------------------------------- golden

@@ -11,8 +11,9 @@
 // -Werror=thread-safety must reject it. A successful compile of the
 // mutation means the analysis is not running. Exercise it with:
 //
-//   cmake -B build-ts -S . -DCMAKE_CXX_COMPILER=clang++ \
+//   cmake -B build-ts -S . -DCMAKE_CXX_COMPILER=clang++
 //         -DLSG_THREAD_SAFETY=ON -DCMAKE_CXX_FLAGS=-DLSG_TS_MUTATION
+//         # one command, wrapped
 //   cmake --build build-ts --target sync_test   # must FAIL
 //
 // (Under GCC the annotations expand to nothing and the mutation compiles

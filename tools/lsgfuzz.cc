@@ -15,11 +15,14 @@
 //   lsgfuzz --episodes 50 --inject-bug card-off-by-one   # harness check
 //
 // Exit status: 0 clean, 1 violations found, 2 usage error (including a
-// count that is not a positive integer, and an --inject-bug run that could
-// not fail because its --oracle mode or --service skips the catching check).
+// count or --scale that is not positive, a --seed that is not an unsigned
+// integer, and an --inject-bug run that could not fail because its
+// --oracle mode or --service skips the catching check).
 
 #include <cerrno>
+#include <cctype>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -81,6 +84,31 @@ bool ParsePositive(const char* text, int* out) {
   return true;
 }
 
+/// Parses a positive finite decimal number ("0", "-1", "nan", "2x" fail).
+bool ParsePositiveReal(const char* text, double* out) {
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(v) ||
+      v <= 0.0) {
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
+/// Parses an unsigned 64-bit decimal; strtoull alone would accept "-1"
+/// (wrapping it) and turn "abc" into 0.
+bool ParseSeed(const char* text, uint64_t* out) {
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno != 0) return false;
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,14 +129,15 @@ int main(int argc, char** argv) {
     }
     return argv[i + 1];
   };
-  auto need_positive = [&](int i, int* out) {
-    const char* v = need_value(i);
-    if (!ParsePositive(v, out)) {
-      std::fprintf(stderr,
-                   "%s needs a positive integer, got \"%s\" (try --help)\n",
-                   argv[i], v);
+  auto need_parsed = [&](int i, bool parsed, const char* what) {
+    if (!parsed) {
+      std::fprintf(stderr, "%s needs %s, got \"%s\" (try --help)\n", argv[i],
+                   what, argv[i + 1]);
       std::exit(2);
     }
+  };
+  auto need_positive = [&](int i, int* out) {
+    need_parsed(i, ParsePositive(need_value(i), out), "a positive integer");
   };
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -118,13 +147,17 @@ int main(int argc, char** argv) {
     } else if (a == "--episodes") {
       need_positive(i++, &episodes);
     } else if (a == "--seed") {
-      seed = std::strtoull(need_value(i++), nullptr, 10);
+      need_parsed(i, ParseSeed(need_value(i), &seed),
+                  "a non-negative integer");
+      ++i;
     } else if (a == "--dataset") {
       dataset = need_value(i++);
     } else if (a == "--scale") {
-      scale = std::atof(need_value(i++));
+      need_parsed(i, ParsePositiveReal(need_value(i), &scale),
+                  "a positive number");
+      ++i;
     } else if (a == "--values") {
-      values = std::atoi(need_value(i++));
+      need_positive(i++, &values);
     } else if (a == "--corpus") {
       corpus_dir = need_value(i++);
     } else if (a == "--no-shrink") {
