@@ -68,7 +68,7 @@ void RunAtConcurrency(const Database* db,
   opts.gen.seed = 20220612;
   // All workers share one estimate memo, as lsgserve wires it in prod.
   FeedbackCache feedback_cache;
-  opts.feedback_cache = &feedback_cache;
+  opts.gen.feedback_cache = &feedback_cache;
   obs::MetricsRegistry registry;
   opts.metrics_registry = &registry;
 
@@ -133,7 +133,7 @@ double RunGenerationThroughput(const Database* db, const Constraint& bucket,
   opts.gen.trainer.batch_size = 8;
   opts.gen.seed = 20220612;
   FeedbackCache feedback_cache;
-  opts.feedback_cache = &feedback_cache;
+  opts.gen.feedback_cache = &feedback_cache;
   obs::MetricsRegistry registry;
   opts.metrics_registry = &registry;
 

@@ -163,8 +163,8 @@ struct Timing {
   uint64_t cardinality = 0;
 };
 
-Timing TimeEngine(const ExecutionBackend& eng, const SelectQuery& q,
-                  int reps) {
+Timing TimeEngine(const ExecutionBackend& eng, const char* engine,
+                  const SelectQuery& q, int reps) {
   Timing t;
   Stopwatch sw;
   for (int i = 0; i < reps; ++i) {
@@ -173,7 +173,7 @@ Timing TimeEngine(const ExecutionBackend& eng, const SelectQuery& q,
     // differential tests and the fuzz oracle cover the materializing
     // path.)
     auto r = eng.ExecuteSelect(q, /*materialize_first_column=*/false);
-    LSG_CHECK(r.ok()) << eng.name() << ": " << r.status().ToString();
+    LSG_CHECK(r.ok()) << engine << ": " << r.status().ToString();
     t.cardinality = r->cardinality;
   }
   t.ns_per_query = sw.ElapsedSeconds() * 1e9 / reps;
@@ -205,14 +205,14 @@ void RunDatasetAtScale(const std::string& dataset, double row_scale,
               dataset.c_str(), row_scale, db.TotalRows(), reps);
   Executor ref(&db);
   for (const BenchQuery& b : BuildQueries(db)) {
-    Timing rt = TimeEngine(ref, b.q, reps);
+    Timing rt = TimeEngine(ref, "reference", b.q, reps);
     EmitRow(json, dataset, row_scale, db.TotalRows(), b.name, "reference", 1,
             reps, rt, 1.0);
     for (int workers : {1, 2, 4, 8}) {
       vexec::VexecOptions vo;
       vo.workers = workers;
       vexec::VectorizedEngine vec(&db, vo);
-      Timing vt = TimeEngine(vec, b.q, reps);
+      Timing vt = TimeEngine(vec, "vectorized", b.q, reps);
       LSG_CHECK(vt.cardinality == rt.cardinality)
           << dataset << "/" << b.name << ": vectorized=" << vt.cardinality
           << " reference=" << rt.cardinality;

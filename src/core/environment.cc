@@ -6,7 +6,6 @@
 
 #include "common/logging.h"
 #include "common/stopwatch.h"
-#include "vexec/backend_factory.h"
 #include "obs/episode_telemetry.h"
 #include "obs/metrics_registry.h"
 #include "obs/span_tracer.h"
@@ -26,8 +25,7 @@ SqlGenEnvironment::SqlGenEnvironment(const Database* db,
       reward_(constraint),
       options_(options),
       fsm_(db, vocab, options.profile),
-      backend_(vexec::MakeBackend(options.execution_backend, db,
-                                  {.workers = options.vexec_workers})),
+      engine_(db),
       prefix_est_(estimator, cost_model),
       constraint_str_(constraint.ToString()) {
   LSG_CHECK(estimator != nullptr && cost_model != nullptr);
@@ -67,7 +65,7 @@ double SqlGenEnvironment::MetricOf(const QueryAst& ast) const {
           : nullptr);
   if (options_.feedback == FeedbackSource::kTrueExecution) {
     if (reward_.constraint().metric == ConstraintMetric::kCardinality) {
-      auto card = backend_->Cardinality(ast);
+      auto card = engine_.Cardinality(ast);
       if (!card.ok()) return 0.0;
       const double m = static_cast<double>(*card);
       RecordFeedbackGap(ast, m, /*cardinality_metric=*/true);
@@ -75,7 +73,7 @@ double SqlGenEnvironment::MetricOf(const QueryAst& ast) const {
     }
     // True cost: run the query and price the measured operator work.
     if (ast.type == QueryType::kSelect && ast.select != nullptr) {
-      auto r = backend_->ExecuteSelect(*ast.select, /*materialize=*/false);
+      auto r = engine_.ExecuteSelect(*ast.select, /*materialize=*/false);
       if (!r.ok()) return 0.0;
       const double m = cost_model_->TrueCost(
           r->stats, static_cast<double>(r->cardinality));

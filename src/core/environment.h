@@ -2,16 +2,15 @@
 #define LEARNEDSQLGEN_CORE_ENVIRONMENT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
+#include <vector>
 
-#include "exec/backend.h"
-#include "exec/executor.h"
 #include "fsm/generation_fsm.h"
 #include "optimizer/cost_model.h"
 #include "optimizer/feedback_cache.h"
 #include "rl/reward.h"
 #include "rl/trajectory.h"
+#include "vexec/vectorized_engine.h"
 
 namespace lsg {
 
@@ -20,7 +19,8 @@ enum class FeedbackSource {
   /// Optimizer estimates (the paper's choice: "we do not use the real
   /// cardinality for the efficiency issue").
   kEstimator = 0,
-  /// Actual execution against the database (feedback ablation).
+  /// Actual execution against the database on the vectorized engine
+  /// (feedback ablation and the true_feedback_tail curriculum).
   kTrueExecution = 1,
 };
 
@@ -43,18 +43,6 @@ struct EnvironmentOptions {
   /// fuzz oracle, and on every step when LSG_CHECK_INCREMENTAL=1 is set).
   /// Disable to force full re-walks on every step.
   bool incremental_prefix_estimates = true;
-
-  /// Which engine serves true-execution feedback (and MetricOf true-cost
-  /// runs): the reference Executor or the vectorized batch engine
-  /// (src/vexec/). Results are bitwise identical — the vectorized engine
-  /// is differentially tested against the reference on every fuzz episode
-  /// — so this is purely a throughput choice; vectorized is what makes
-  /// execution-grounded feedback affordable at 10⁵–10⁶-row scale.
-  ExecutionBackendKind execution_backend = ExecutionBackendKind::kReference;
-
-  /// Morsel parallelism for the vectorized backend (including the calling
-  /// thread). Ignored by the reference backend.
-  int vexec_workers = 1;
 };
 
 /// The paper's environment (Figure 1): wraps the FSM (action masking), the
@@ -94,9 +82,6 @@ class SqlGenEnvironment : public Environment {
   }
   FeedbackSource feedback_source() const { return options_.feedback; }
 
-  /// The engine answering true-execution queries for this environment.
-  const ExecutionBackend& backend() const { return *backend_; }
-
  private:
   /// Emits the completed episode's telemetry row to the global episode
   /// sink (no-op unless obs::Enabled() and a sink is installed).
@@ -119,7 +104,9 @@ class SqlGenEnvironment : public Environment {
   RewardFunction reward_;
   EnvironmentOptions options_;
   GenerationFsm fsm_;
-  std::unique_ptr<ExecutionBackend> backend_;
+  /// Answers true-execution feedback (and MetricOf true-cost runs). The
+  /// reference Executor is its oracle, not an alternative engine.
+  vexec::VectorizedEngine engine_;
   PrefixEstimator prefix_est_;
   bool check_incremental_;  ///< LSG_CHECK_INCREMENTAL=1 debug cross-check
   mutable int64_t feedback_calls_ = 0;

@@ -54,8 +54,6 @@ EnvironmentOptions LearnedSqlGen::BuildEnvOptions() const {
   env_opts.feedback_cache = options_.feedback_cache;
   env_opts.incremental_prefix_estimates =
       options_.incremental_prefix_estimates;
-  env_opts.execution_backend = options_.execution_backend;
-  env_opts.vexec_workers = options_.vexec_workers;
   return env_opts;
 }
 
@@ -86,8 +84,7 @@ Status LearnedSqlGen::TrainFor(const Constraint& constraint, int epochs) {
         env_->feedback_source() != FeedbackSource::kTrueExecution) {
       env_->SetFeedbackSource(FeedbackSource::kTrueExecution);
       LSG_LOG(Info) << "epoch " << e << ": switching to execution-grounded "
-                    << "feedback (" << env_->backend().name()
-                    << " backend)";
+                    << "feedback";
     }
   };
   auto record = [&](EpochStats st) {

@@ -25,18 +25,10 @@ struct LearnedSqlGenOptions {
   /// (FeedbackSource::kTrueExecution). Early epochs keep the cheap
   /// estimator (+ cache) signal for exploration; the final
   /// ceil(train_epochs · true_feedback_tail) epochs ground the policy in
-  /// measured cardinalities/costs from the configured execution backend.
+  /// measured cardinalities/costs from the vectorized engine.
   /// 0 disables the switch (paper default); 1 trains fully on execution.
   /// Ignored when `feedback` is already kTrueExecution.
   double true_feedback_tail = 0.0;
-
-  /// Engine answering execution-grounded feedback — see
-  /// EnvironmentOptions::execution_backend. The vectorized engine makes
-  /// the true-feedback tail affordable on 10⁵–10⁶-row databases.
-  ExecutionBackendKind execution_backend = ExecutionBackendKind::kReference;
-
-  /// Morsel parallelism for the vectorized backend.
-  int vexec_workers = 1;
 
   /// Training epochs (batched updates) per constraint.
   int train_epochs = 80;

@@ -10,25 +10,55 @@
 
 namespace lsg {
 
-struct SelectResult;
+/// Cumulative operator work observed during execution; feeds the
+/// "true cost" variant of the cost model (feedback ablation).
+struct ExecStats {
+  /// Saturation ceiling for every counter, mirroring the estimator's
+  /// CardinalityEstimator::kMaxJoinRows cap: a pathological join chain
+  /// must degrade to a pinned maximum, not run the meters to inf.
+  static constexpr double kMaxRows = 1e15;
 
-/// Which execution engine answers true-cardinality / true-cost queries.
+  double rows_scanned = 0;
+  double rows_joined = 0;   ///< tuples produced by joins
+  double rows_probed = 0;   ///< tuples driving hash-probe work per join stage
+  double rows_output = 0;
+
+  static double Clamp(double v) { return v > kMaxRows ? kMaxRows : v; }
+
+  void Add(const ExecStats& o) {
+    rows_scanned = Clamp(rows_scanned + o.rows_scanned);
+    rows_joined = Clamp(rows_joined + o.rows_joined);
+    rows_probed = Clamp(rows_probed + o.rows_probed);
+    rows_output = Clamp(rows_output + o.rows_output);
+  }
+};
+
+/// Result of executing a SELECT.
+struct SelectResult {
+  uint64_t cardinality = 0;
+  /// Values of the first projection item per output row; filled only when
+  /// requested (used to evaluate IN / scalar subqueries).
+  std::vector<Value> first_column;
+  ExecStats stats;
+};
+
+/// Selects an engine for vexec::MakeBackend. Test and benchmark use only:
+/// production code constructs vexec::VectorizedEngine directly, and the
+/// switch exists so the goodput benchmark's engine cross-check can build
+/// both engines by name.
 enum class ExecutionBackendKind {
-  /// The tuple-at-a-time Executor (src/exec/executor.*). Permanent
-  /// correctness oracle — simple, scalar, always available.
+  /// The tuple-at-a-time Executor (src/exec/executor.*): the permanent
+  /// differential oracle of the vectorized engine.
   kReference = 0,
-  /// The columnar batch engine (src/vexec/): morsel-parallel scans,
-  /// typed hash joins, vectorized predicates. Bitwise-equivalent results
-  /// (cardinality, first column, ExecStats) at 10–100× the throughput;
-  /// differentially tested against kReference on every fuzz episode.
+  /// The columnar batch engine (src/vexec/), the one production engine.
   kVectorized = 1,
 };
 
-/// Abstract query-execution surface shared by the reference Executor and
-/// the vectorized engine, so Environment / GenerationService pick a
-/// backend per options without caring which one they got. All methods are
-/// const and safe to call concurrently from multiple threads *holding
-/// distinct backend instances*; one instance is single-query-at-a-time.
+/// Query-execution surface shared by the vectorized engine and its oracle,
+/// the reference Executor. Test and benchmark use only: it lets one
+/// differential check drive either engine through the same calls. All
+/// methods are const; one instance answers one query at a time, and
+/// distinct instances may run concurrently.
 class ExecutionBackend {
  public:
   virtual ~ExecutionBackend() = default;
@@ -48,11 +78,6 @@ class ExecutionBackend {
   /// UPDATE/DELETE for real and by the fuzzing oracles.
   virtual StatusOr<std::vector<bool>> MatchRows(
       int table_idx, const WhereClause& where) const = 0;
-
-  virtual const Database* database() const = 0;
-
-  /// Stable backend name for logs / metrics ("reference", "vectorized").
-  virtual const char* name() const = 0;
 };
 
 }  // namespace lsg

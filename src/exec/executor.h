@@ -11,44 +11,16 @@
 
 namespace lsg {
 
-/// Cumulative operator work observed during execution; feeds the
-/// "true cost" variant of the cost model (feedback ablation).
-struct ExecStats {
-  /// Saturation ceiling for every counter, mirroring the estimator's
-  /// CardinalityEstimator::kMaxJoinRows cap: a pathological join chain
-  /// must degrade to a pinned maximum, not run the meters to inf.
-  static constexpr double kMaxRows = 1e15;
-
-  double rows_scanned = 0;
-  double rows_joined = 0;   ///< tuples produced by joins
-  double rows_probed = 0;   ///< tuples driving hash-probe work per join stage
-  double rows_output = 0;
-
-  static double Clamp(double v) { return v > kMaxRows ? kMaxRows : v; }
-
-  void Add(const ExecStats& o) {
-    rows_scanned = Clamp(rows_scanned + o.rows_scanned);
-    rows_joined = Clamp(rows_joined + o.rows_joined);
-    rows_probed = Clamp(rows_probed + o.rows_probed);
-    rows_output = Clamp(rows_output + o.rows_output);
-  }
-};
-
-/// Result of executing a SELECT.
-struct SelectResult {
-  uint64_t cardinality = 0;
-  /// Values of the first projection item per output row; filled only when
-  /// requested (used to evaluate IN / scalar subqueries).
-  std::vector<Value> first_column;
-  ExecStats stats;
-};
-
 /// Executes SELECT queries against an in-memory Database and returns true
 /// result cardinalities. Pipeline: FK hash joins in chain order, then WHERE
 /// (uncorrelated subqueries evaluated once), then GROUP BY / HAVING /
-/// aggregate collapse. This is the tuple-at-a-time *reference* backend; the
-/// vectorized engine in src/vexec/ must match it bitwise (cardinality,
-/// first_column, ExecStats) and is differentially tested against it.
+/// aggregate collapse. This is the tuple-at-a-time *reference* engine, kept
+/// as the permanent differential oracle: production feedback runs on the
+/// vectorized engine in src/vexec/, which must match it bitwise
+/// (cardinality, first_column, ExecStats) and is tested against it by
+/// vexec_test, `lsgfuzz --oracle vexec` and the environment-level check in
+/// core_test. Only oracle users (tests, fuzz/, benches, DmlExecutor and
+/// vexec::MakeBackend) include this header.
 class Executor : public ExecutionBackend {
  public:
   /// `db` must outlive the executor. `max_intermediate_tuples` bounds join
@@ -69,9 +41,6 @@ class Executor : public ExecutionBackend {
   /// UPDATE/DELETE for real and by the fuzzing oracle.
   StatusOr<std::vector<bool>> MatchRows(
       int table_idx, const WhereClause& where) const override;
-
-  const Database* database() const override { return db_; }
-  const char* name() const override { return "reference"; }
 
   const Database* db() const { return db_; }
 

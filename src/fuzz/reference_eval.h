@@ -17,6 +17,12 @@ namespace lsg {
 /// matches, uncorrelated subqueries, COUNT skips NULLs) with the simplest
 /// possible code: row-at-a-time nested loops, no hashing.
 ///
+/// It is kept next to the Executor oracle on purpose: the Executor and the
+/// vectorized engine share exec/expression.cc's AggregateValues and
+/// GroupKeyOf, so a bug there would make them agree with each other. This
+/// evaluator has its own copies and is the only independent check on
+/// aggregation and grouping.
+///
 /// Evaluation is metered: every inner-loop comparison consumes work, and
 /// once `max_work` is exhausted the evaluation returns OutOfRange so the
 /// fuzzer can skip pathologically expensive episodes instead of stalling.

@@ -13,16 +13,6 @@
 namespace lsg {
 namespace {
 
-// Folds the service-level feedback cache into the per-pipeline options the
-// registry builds every model from.
-LearnedSqlGenOptions MergedGenOptions(const GenerationServiceOptions& options) {
-  LearnedSqlGenOptions gen = options.gen;
-  if (options.feedback_cache != nullptr) {
-    gen.feedback_cache = options.feedback_cache;
-  }
-  return gen;
-}
-
 // A request's private sampling stream: a SplitMix64 chain over the base
 // seed and every request field. The stream is a pure function of
 // (seed, request), so a request's output cannot depend on worker
@@ -58,10 +48,8 @@ GenerationService::GenerationService(const Database* db,
                                      const GenerationServiceOptions& options)
     : options_(options),
       metrics_(options.metrics_registry),
-      registry_(db, MergedGenOptions(options), options.registry, &metrics_),
-      queue_(options.queue_capacity) {
-  options_.gen = MergedGenOptions(options_);
-}
+      registry_(db, options.gen, options.registry, &metrics_),
+      queue_(options.queue_capacity) {}
 
 StatusOr<std::unique_ptr<GenerationService>> GenerationService::Create(
     const Database* db, const GenerationServiceOptions& options) {

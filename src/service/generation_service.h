@@ -55,19 +55,15 @@ struct GenerationServiceOptions {
   /// a request's sampling stream and a bucket's training seed are both
   /// pure functions of (gen.seed, request) resp. (gen.seed, bucket), so
   /// runs with fixed seeds are reproducible at any worker count, with
-  /// batching on or off.
+  /// batching on or off. A `gen.feedback_cache` is shared by every
+  /// bucket's pipeline, so buckets re-estimating near-identical queries
+  /// hit each other's entries; it must outlive the service.
   LearnedSqlGenOptions gen;
   /// Registry backing the service counters. Defaults to a private one
   /// (per-service isolation); pass &obs::MetricsRegistry::Global() to
   /// publish the `service.` namespace alongside the training metrics
   /// (lsgtrace does this). Must outlive the service when non-null.
   obs::MetricsRegistry* metrics_registry = nullptr;
-  /// Shared feedback-estimation cache, analogous to `metrics_registry`:
-  /// one FeedbackCache is handed to every worker's pipeline, so constraint
-  /// buckets re-estimating near-identical queries hit each other's
-  /// entries. Must outlive the service when non-null. Equivalent to
-  /// setting `gen.feedback_cache`; this field wins when both are set.
-  FeedbackCache* feedback_cache = nullptr;
 };
 
 /// Multi-tenant front end over LearnedSqlGen: a fixed worker pool drains a

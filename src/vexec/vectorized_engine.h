@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "exec/backend.h"
-#include "exec/executor.h"
 #include "sql/ast.h"
 #include "storage/table.h"
 #include "vexec/batch.h"
@@ -31,6 +30,9 @@ enum class InjectBug {
 
 struct VexecOptions {
   /// Morsel parallelism including the calling thread; 1 = fully serial.
+  /// Production environments run the serial default; vexec_test and
+  /// bench_vexec_throughput exercise larger crews, and multi-core morsels
+  /// in production are a deferred ROADMAP item.
   int workers = 1;
   /// Join blowup bound; must match the reference Executor's for bitwise
   /// OutOfRange agreement.
@@ -38,9 +40,11 @@ struct VexecOptions {
   InjectBug inject = InjectBug::kNone;
 };
 
-/// Columnar batch execution engine. Same query surface and — by
-/// construction — bitwise-identical results (cardinality, first_column,
-/// ExecStats) as the reference Executor, at vectorized speed:
+/// Columnar batch execution engine, and the one engine production code
+/// constructs (SqlGenEnvironment owns one for true-execution feedback).
+/// Same query surface and — by construction — bitwise-identical results
+/// (cardinality, first_column, ExecStats) as the reference Executor, at
+/// vectorized speed:
 ///
 ///   * scans and predicate evaluation run as typed kernels over the
 ///     Column backing arrays in kBatchSize batches (no per-row Value
@@ -63,7 +67,7 @@ struct VexecOptions {
 ///
 /// One instance answers one query at a time (the ExecutionBackend
 /// contract); distinct instances are independent.
-class VectorizedEngine : public ExecutionBackend {
+class VectorizedEngine final : public ExecutionBackend {
  public:
   explicit VectorizedEngine(const Database* db, VexecOptions opts = {});
 
@@ -72,8 +76,6 @@ class VectorizedEngine : public ExecutionBackend {
       const SelectQuery& q, bool materialize_first_column) const override;
   StatusOr<std::vector<bool>> MatchRows(
       int table_idx, const WhereClause& where) const override;
-  const Database* database() const override { return db_; }
-  const char* name() const override { return "vectorized"; }
 
   const VexecOptions& options() const { return opts_; }
 

@@ -540,10 +540,6 @@ TEST(BackendFactoryTest, BuildsBothBackends) {
   Database db = BuildScoreStudentDb();
   auto ref = vexec::MakeBackend(ExecutionBackendKind::kReference, &db);
   auto vec = vexec::MakeBackend(ExecutionBackendKind::kVectorized, &db);
-  EXPECT_STREQ(ref->name(), "reference");
-  EXPECT_STREQ(vec->name(), "vectorized");
-  EXPECT_EQ(ref->database(), &db);
-  EXPECT_EQ(vec->database(), &db);
   const int score = db.catalog().FindTable("Score");
   QueryAst ast;
   ast.type = QueryType::kSelect;

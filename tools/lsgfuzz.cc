@@ -19,16 +19,13 @@
 // integer, and an --inject-bug run that could not fail because its
 // --oracle mode or --service skips the catching check).
 
-#include <cerrno>
-#include <cctype>
-#include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "flag_parse.h"
 #include "fuzz/fuzzer.h"
 #include "fuzz/service_fuzz.h"
 #include "fuzz/test_databases.h"
@@ -71,44 +68,6 @@ int FailUsage(const char* what) {
   return 2;
 }
 
-/// Parses a positive decimal int; "abc", "0", "-3" and "5x" all fail
-/// rather than silently running zero episodes.
-bool ParsePositive(const char* text, int* out) {
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || errno != 0 || v <= 0 || v > INT_MAX) {
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
-
-/// Parses a positive finite decimal number ("0", "-1", "nan", "2x" fail).
-bool ParsePositiveReal(const char* text, double* out) {
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(v) ||
-      v <= 0.0) {
-    return false;
-  }
-  *out = v;
-  return true;
-}
-
-/// Parses an unsigned 64-bit decimal; strtoull alone would accept "-1"
-/// (wrapping it) and turn "abc" into 0.
-bool ParseSeed(const char* text, uint64_t* out) {
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno != 0) return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -129,15 +88,9 @@ int main(int argc, char** argv) {
     }
     return argv[i + 1];
   };
-  auto need_parsed = [&](int i, bool parsed, const char* what) {
-    if (!parsed) {
-      std::fprintf(stderr, "%s needs %s, got \"%s\" (try --help)\n", argv[i],
-                   what, argv[i + 1]);
-      std::exit(2);
-    }
-  };
   auto need_positive = [&](int i, int* out) {
-    need_parsed(i, ParsePositive(need_value(i), out), "a positive integer");
+    tools::RequireParsed(argv, i, tools::ParsePositive(need_value(i), out),
+                         "a positive integer");
   };
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
@@ -147,14 +100,15 @@ int main(int argc, char** argv) {
     } else if (a == "--episodes") {
       need_positive(i++, &episodes);
     } else if (a == "--seed") {
-      need_parsed(i, ParseSeed(need_value(i), &seed),
-                  "a non-negative integer");
+      tools::RequireParsed(argv, i, tools::ParseSeed(need_value(i), &seed),
+                           "a non-negative integer");
       ++i;
     } else if (a == "--dataset") {
       dataset = need_value(i++);
     } else if (a == "--scale") {
-      need_parsed(i, ParsePositiveReal(need_value(i), &scale),
-                  "a positive number");
+      tools::RequireParsed(argv, i,
+                           tools::ParsePositiveReal(need_value(i), &scale),
+                           "a positive number");
       ++i;
     } else if (a == "--values") {
       need_positive(i++, &values);

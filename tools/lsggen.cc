@@ -8,7 +8,12 @@
 //   lsggen --dataset tpch --metric card --range 50,100 --save model.bin
 //   lsggen --dataset tpch --metric card --range 50,100 --load model.bin
 //
-// Run with --help for the full flag list.
+// Run with --help for the full flag list. Exit status: 0 done, 1 a
+// train/load/generate/write step failed, 2 usage error (including an
+// --n, --epochs or --batch that is not a positive integer, a --point or
+// --scale that is not a positive number, and a --seed that is not an
+// unsigned integer). A point of 0 is refused because the point reward
+// min(ĉ/c, c/ĉ) is 0 for every query there.
 
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +25,7 @@
 #include "datasets/job_like.h"
 #include "datasets/tpch_like.h"
 #include "datasets/xuetang_like.h"
+#include "flag_parse.h"
 #include "optimizer/explain.h"
 
 namespace {
@@ -66,6 +72,10 @@ int main(int argc, char** argv) {
     }
     return argv[i + 1];
   };
+  auto need_positive = [&](int i, int* out) {
+    tools::RequireParsed(argv, i, tools::ParsePositive(need_value(i), out),
+                         "a positive integer");
+  };
   for (int i = 1; i < argc; ++i) {
     std::string a = argv[i];
     if (a == "--help" || a == "-h") {
@@ -76,7 +86,10 @@ int main(int argc, char** argv) {
     } else if (a == "--metric") {
       metric_name = need_value(i++);
     } else if (a == "--point") {
-      point = std::atof(need_value(i++));
+      tools::RequireParsed(argv, i,
+                           tools::ParsePositiveReal(need_value(i), &point),
+                           "a positive number");
+      ++i;
     } else if (a == "--range") {
       const char* v = need_value(i++);
       if (std::sscanf(v, "%lf,%lf", &range_lo, &range_hi) != 2) {
@@ -84,15 +97,20 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (a == "--n") {
-      n = std::atoi(need_value(i++));
+      need_positive(i++, &n);
     } else if (a == "--epochs") {
-      epochs = std::atoi(need_value(i++));
+      need_positive(i++, &epochs);
     } else if (a == "--batch") {
-      batch = std::atoi(need_value(i++));
+      need_positive(i++, &batch);
     } else if (a == "--scale") {
-      scale = std::atof(need_value(i++));
+      tools::RequireParsed(argv, i,
+                           tools::ParsePositiveReal(need_value(i), &scale),
+                           "a positive number");
+      ++i;
     } else if (a == "--seed") {
-      seed = std::strtoull(need_value(i++), nullptr, 10);
+      tools::RequireParsed(argv, i, tools::ParseSeed(need_value(i), &seed),
+                           "a non-negative integer");
+      ++i;
     } else if (a == "--profile") {
       profile_name = need_value(i++);
     } else if (a == "--csv") {

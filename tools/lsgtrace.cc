@@ -305,7 +305,7 @@ int RunServe(const std::string& dataset, const Constraint& constraint,
   // One feedback cache across every worker: constraint buckets
   // re-estimating near-identical queries hit each other's entries.
   FeedbackCache feedback_cache;
-  opts.feedback_cache = &feedback_cache;
+  opts.gen.feedback_cache = &feedback_cache;
   auto service = GenerationService::Create(&*db, opts);
   if (!service.ok()) {
     std::fprintf(stderr, "lsgtrace: %s\n",
